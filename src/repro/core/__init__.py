@@ -1,6 +1,6 @@
 """Core of the paper's contribution: conformance-constraint discovery.
 
-Pipeline: ``gram`` (one-pass distributed second moments) -> ``projections``
+Pipeline: ``gram`` (one-pass distributed second moments, global and grouped) -> ``projections``
 (Algorithm 1: eigenvectors of the augmented Gram matrix) -> ``constraints``
 (the language of Section 3.1) -> ``discovery`` (simple / disjunctive /
 compound synthesis, Section 4) -> ``scoring`` (quantitative semantics of
@@ -11,6 +11,7 @@ from repro.core.constraints import (
     CompoundConstraint,
     DisjunctiveConstraint,
     SimpleConstraint,
+    branch_key,
     constraint_from_dict,
     constraint_to_dict,
 )
@@ -20,7 +21,7 @@ from repro.core.discovery import (
     discover_simple,
     eligible_partition_attrs,
 )
-from repro.core.gram import augmented_gram, grouped_augmented_gram, numeric_columns
+from repro.core.gram import augmented_gram, gram_pass, grouped_augmented_gram, numeric_columns
 from repro.core.projections import derive_projections
 from repro.core.scoring import (
     average_violation,
@@ -37,6 +38,8 @@ __all__ = [
     "CompoundConstraint",
     "constraint_to_dict",
     "constraint_from_dict",
+    "branch_key",
+    "gram_pass",
     "augmented_gram",
     "grouped_augmented_gram",
     "numeric_columns",

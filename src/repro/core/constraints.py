@@ -17,9 +17,11 @@ constraints as JSON.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from datetime import datetime
 from typing import Any, Union
 
 import numpy as np
+import pandas as pd
 
 #: Floor applied to sigma when used as the scaling factor alpha = 1/sigma.
 #: The paper sets alpha to "a large positive number" when sigma = 0; the floor
@@ -84,15 +86,38 @@ class SimpleConstraint:
 class DisjunctiveConstraint:
     """One psi_A: ``OR((attr = v) ▷ branches[v], ...)``.
 
-    Branch keys are the *stringified* attribute values (matching how the
-    grouped Gram pass transports them); scoring compares
-    ``CAST(attr AS STRING)`` against the keys, which is exact for the string
-    and integer switch attributes used in this repo.  A tuple whose attribute
-    value matches no branch gets violation 1 (paper: ``simp`` undefined).
+    Branch keys are ``branch_key`` of the attribute values, which is what
+    ``CAST(attr AS STRING)`` gives in Spark and DuckDB, so every engine
+    compares the same strings.  A tuple whose attribute value matches no
+    branch, null included, gets violation 1 (paper: ``simp`` undefined).
     """
 
     attr: str
     branches: dict[str, SimpleConstraint] = field(default_factory=dict)
+
+
+def branch_key(v: Any) -> str | None:
+    """The branch key of one switch-attribute value, or None for null/NaN.
+
+    Equals ``CAST(v AS STRING)`` in Spark and DuckDB for the values pandas
+    hands over for atomic switch attributes: booleans become
+    ``"true"``/``"false"``, timestamps drop a zero fraction of a second,
+    everything else is ``str(v)``.
+    """
+    if v is None or v is pd.NaT or (isinstance(v, (float, np.floating)) and np.isnan(v)):
+        return None
+    if isinstance(v, (bool, np.bool_)):
+        return "true" if v else "false"
+    if isinstance(v, datetime):
+        s = v.strftime("%Y-%m-%d %H:%M:%S")
+        return f"{s}.{v.microsecond:06d}".rstrip("0") if v.microsecond else s
+    return str(v)
+
+
+def branch_keys(values: pd.Series) -> np.ndarray:
+    """``branch_key`` of every value, computed once per distinct value."""
+    codes, uniques = pd.factorize(values)
+    return np.array([branch_key(u) for u in uniques] + [None], dtype=object)[codes]
 
 
 Constraint = Union[SimpleConstraint, DisjunctiveConstraint, "CompoundConstraint"]

@@ -12,6 +12,12 @@
                            (plus, by default, the global simple constraint so
                            datasets without categorical attributes are
                            handled uniformly).
+
+``discover`` scans the data once: a single ``gram_pass`` collects the global
+Gram, a grouped Gram per candidate switch attribute and each candidate's
+distinct values, and the driver then picks the eligible attributes and solves
+the small eigenproblems.  It equals composing ``eligible_partition_attrs``,
+``discover_simple`` and ``discover_disjunctive``, which take a pass each.
 """
 from __future__ import annotations
 
@@ -20,6 +26,14 @@ from typing import Sequence
 import numpy as np
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as Fn
+from pyspark.sql.types import (
+    BooleanType,
+    DateType,
+    DecimalType,
+    StringType,
+    TimestampNTZType,
+    TimestampType,
+)
 
 from repro.core.constraints import (
     BoundedProjection,
@@ -28,7 +42,13 @@ from repro.core.constraints import (
     SimpleConstraint,
     normalize_gammas,
 )
-from repro.core.gram import GramResult, augmented_gram, grouped_augmented_gram, numeric_columns
+from repro.core.gram import (
+    GramResult,
+    augmented_gram,
+    gram_pass,
+    grouped_augmented_gram,
+    numeric_columns,
+)
 from repro.core.projections import derive_projections, importance_raw
 
 #: Paper's default deviation multiplier: lb, ub = mu -/+ C * sigma.
@@ -38,6 +58,9 @@ DEFAULT_MAX_BRANCHES = 50
 #: Partitions with fewer rows get a trivial (always satisfied) constraint —
 #: "no evidence" rather than a degenerate sigma=0 overfit (see DESIGN.md §3).
 DEFAULT_MIN_PARTITION_ROWS = 2
+#: Spark types an attribute must have to be auto-selected as a switch: atomic
+#: and non-numeric.  Arrays, maps, structs and binary are never candidates.
+SWITCH_TYPES = (StringType, BooleanType, DateType, TimestampType, TimestampNTZType, DecimalType)
 
 
 def simple_from_gram(gram: GramResult, C: float = DEFAULT_C) -> SimpleConstraint:
@@ -80,7 +103,18 @@ def discover_disjunctive(
 ) -> DisjunctiveConstraint:
     """Learn ``OR((attr = v) ▷ phi_v)`` with one grouped Gram pass over ``df``."""
     cols = list(cols) if cols is not None else [c for c in numeric_columns(df) if c != attr]
-    grouped = grouped_augmented_gram(df, attr, cols)
+    return disjunctive_from_grams(
+        attr, grouped_augmented_gram(df, attr, cols), C=C, min_partition_rows=min_partition_rows
+    )
+
+
+def disjunctive_from_grams(
+    attr: str,
+    grouped: dict[str, GramResult],
+    C: float = DEFAULT_C,
+    min_partition_rows: int = DEFAULT_MIN_PARTITION_ROWS,
+) -> DisjunctiveConstraint:
+    """Build ``OR((attr = v) ▷ phi_v)`` from precomputed per-branch Grams."""
     branches = {
         v: (
             simple_from_gram(g, C=C)
@@ -96,20 +130,34 @@ def discover_disjunctive(
     return DisjunctiveConstraint(attr=attr, branches=branches)
 
 
+def switch_candidates(df: DataFrame, numeric_cols: Sequence[str]) -> list[str]:
+    """Columns of ``df`` that auto-selection may use as switch attributes.
+
+    Those of an atomic non-numeric type (``SWITCH_TYPES``) outside
+    ``numeric_cols``, in schema order.
+    """
+    numeric = set(numeric_cols)
+    return [
+        f.name
+        for f in df.schema.fields
+        if f.name not in numeric and isinstance(f.dataType, SWITCH_TYPES)
+    ]
+
+
 def eligible_partition_attrs(
     df: DataFrame,
     numeric_cols: Sequence[str],
     max_branches: int = DEFAULT_MAX_BRANCHES,
 ) -> list[str]:
-    """Auto-select switch attributes: non-numeric columns with 2..max distinct.
+    """Auto-select switch attributes: candidates with 2..max distinct values.
 
     Mirrors the paper's "attributes A_j for which |{t.A_j : t in D}| <= 50".
-    Numeric columns are never auto-selected (they feed the projections);
-    numeric categorical attributes (e.g. LED's ``digit``) can be passed to
-    ``discover`` explicitly.
+    Candidates are the ``switch_candidates``; numeric categorical attributes
+    (e.g. LED's ``digit``) can be passed to ``discover`` explicitly.
+    ``discover`` applies the same rule to the distinct keys its single pass
+    collects; this standalone version counts with one aggregation.
     """
-    numeric = set(numeric_cols)
-    candidates = [f.name for f in df.schema.fields if f.name not in numeric]
+    candidates = switch_candidates(df, numeric_cols)
     if not candidates:
         return []
     counts = df.agg(
@@ -130,25 +178,30 @@ def discover(
     """Learn the final compound constraint for ``df`` (DISYNTH's output).
 
     ``cols`` — numerical attributes to build projections over (default: all);
-    ``partition_attrs`` — switch attributes (default: auto-selected
-    non-numeric columns with <= ``max_branches`` distinct values);
+    ``partition_attrs`` — switch attributes (default: the
+    ``switch_candidates`` with 2..``max_branches`` distinct non-null values);
     ``include_global`` — also conjoin the global simple constraint (the W-PCA
     baseline equals ``include_global=True`` with no partition attrs).
+    Every Gram comes from one ``gram_pass``, so this is one Spark job.
     """
     cols = list(cols) if cols is not None else numeric_columns(df)
-    if partition_attrs is None:
-        partition_attrs = eligible_partition_attrs(df, cols, max_branches)
+    auto = partition_attrs is None
+    attrs = switch_candidates(df, cols) if auto else list(partition_attrs)
+    grams = gram_pass(
+        df,
+        cols if include_global or auto or not attrs else None,
+        {a: [c for c in cols if c != a] for a in attrs},
+        max_keys=max_branches if auto else None,
+    )
+    if auto:  # the pass already dropped candidates with > max_branches keys
+        attrs = [a for a in attrs if grams.distinct.get(a, 0) >= 2]
     parts: list = []
-    if include_global or not partition_attrs:
-        parts.append(discover_simple(df, cols, C=C))
-    for attr in partition_attrs:
+    if include_global or not attrs:
+        parts.append(simple_from_gram(grams.total, C=C))
+    for attr in attrs:
         parts.append(
-            discover_disjunctive(
-                df,
-                attr,
-                [c for c in cols if c != attr],
-                C=C,
-                min_partition_rows=min_partition_rows,
+            disjunctive_from_grams(
+                attr, grams.grouped[attr], C=C, min_partition_rows=min_partition_rows
             )
         )
     return CompoundConstraint(parts=tuple(parts))

@@ -6,8 +6,15 @@ prepends a constant-1 intercept column.  Section 4.3 observes that ``G`` is a
 sum of per-tuple outer products, so it can be computed "in an embarrassingly
 parallel way where we partition the data (row-wise) and each partition is
 computed in parallel" — that is exactly what this module does: every Spark
-partition emits its partial (m+1)^2 sum through ``mapInPandas`` and the driver
-adds the small partials.  O(n m^2) work, O(m^2) driver memory, one data scan.
+partition emits its partial (m+1)^2 sums through ``mapInPandas`` and the
+driver adds the small partials.  O(n m^2) work, O(m^2) driver memory.
+
+The same holds for the per-partition Grams of the disjunctive constraints
+(§4.2) and for the distinct values that decide which attributes may switch
+them, so ``gram_pass`` collects all of it — the global Gram, one grouped Gram
+per switch attribute and each candidate's distinct keys — in one scan: one
+kernel, one Spark job.  ``augmented_gram`` and ``grouped_augmented_gram`` are
+its no-switch and one-switch cases.
 
 ``G`` is also sufficient for every statistic the method needs downstream:
 for a linear projection F(t) = w . t,
@@ -17,16 +24,18 @@ for a linear projection F(t) = w . t,
     var(F(D))  = E[F^2] - mu^2
 
 so discovery makes a *single* pass over the data regardless of how many
-projections Algorithm 1 returns.
+projections Algorithm 1 returns or how many switch attributes it tries.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame
+
+from repro.core.constraints import branch_key
 
 #: Spark simple-type names treated as numerical attributes (the paper's
 #: Algorithm 1 line 1 drops everything else). Dates, strings, booleans and
@@ -76,79 +85,161 @@ class GramResult:
         return self.g[0, 1:] / self.n
 
 
-def _partial_gram_fn(
-    cols: Sequence[str],
+def _gram_of(x: np.ndarray) -> tuple[int, np.ndarray] | None:
+    """Row count and ``[1|x]^T [1|x]`` over the rows of ``x`` without a NaN."""
+    if x.size:
+        x = x[~np.isnan(x).any(axis=1)]
+    if not len(x):
+        return None
+    xa = np.hstack([np.ones((len(x), 1)), x])
+    return len(x), xa.T @ xa
+
+
+def _add(acc: dict, key: object, n: int, g: np.ndarray) -> None:
+    n0, g0 = acc.get(key, (0, np.zeros_like(g)))
+    acc[key] = (n0 + n, g0 + g)
+
+
+#: ``(switch index, branch key)`` under which the global Gram is accumulated.
+_TOTAL = (-1, None)
+
+
+def _partial_grams_fn(
+    cols: list[str] | None, switches: dict[str, list[str]], max_keys: int | None
 ) -> Callable[[Iterator[pd.DataFrame]], Iterator[pd.DataFrame]]:
-    cols = list(cols)
-    m1 = len(cols) + 1
+    """The kernel of ``gram_pass``: every partial Gram of one Spark partition.
+
+    Emits one row per Gram: ``s = -1`` for the global one, ``s = i, v = key``
+    for branch ``key`` of the i-th switch.  A key seen only on rows with a
+    NaN feature has a null ``g``; a null ``v`` marks a switch that saw more
+    than ``max_keys`` keys in this partition.
+    """
+    attrs = list(switches)
 
     def fn(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        g = np.zeros((m1, m1), dtype=np.float64)
-        n = 0
+        acc: dict[tuple[int, str | None], tuple[int, np.ndarray]] = {}
+        if cols is not None:
+            acc[_TOTAL] = (0, np.zeros((len(cols) + 1,) * 2, dtype=np.float64))
+        seen: list[set[str] | None] = [set() for _ in attrs]  # None: over max_keys
         for pdf in batches:
-            x = pdf[cols].to_numpy(dtype=np.float64, copy=False)
-            if x.size:
-                x = x[~np.isnan(x).any(axis=1)]
-            if not len(x):
-                continue
-            xa = np.hstack([np.ones((len(x), 1)), x])
-            g += xa.T @ xa
-            n += len(x)
-        yield pd.DataFrame({"n": [n], "g": [g.ravel().tolist()]})
+            if cols is not None:
+                if r := _gram_of(pdf[cols].to_numpy(dtype=np.float64, copy=False)):
+                    _add(acc, _TOTAL, *r)
+            for i, attr in enumerate(attrs):
+                if seen[i] is None:
+                    continue
+                codes, uniques = pd.factorize(pdf[attr], sort=True)
+                keys = [branch_key(u) for u in uniques]
+                seen[i].update(keys)
+                if max_keys is not None and len(seen[i]) > max_keys:
+                    seen[i] = None
+                    continue
+                x = pdf[switches[attr]].to_numpy(dtype=np.float64, copy=False)
+                for code, key in enumerate(keys):
+                    if r := _gram_of(x[codes == code]):
+                        _add(acc, (i, key), *r)
+        rows = [
+            (i, k, n, g.ravel().tolist())
+            for (i, k), (n, g) in acc.items()
+            if i < 0 or seen[i] is not None
+        ]
+        for i, keys in enumerate(seen):
+            if keys is None:
+                rows.append((i, None, 0, None))
+            else:
+                rows.extend((i, k, 0, None) for k in keys if (i, k) not in acc)
+        yield pd.DataFrame(rows, columns=["s", "v", "n", "g"])
 
     return fn
 
 
+@dataclass(frozen=True)
+class GramPass:
+    """The Grams of one ``gram_pass``.
+
+    ``total`` is the Gram over the pass's ``cols`` (None if not asked for);
+    ``grouped[attr][key]`` is the Gram of the rows whose ``attr`` has branch
+    key ``key``; ``distinct[attr]`` counts the distinct non-null keys of
+    ``attr``, keys whose rows all had a NaN feature included.  A switch with
+    more than ``max_keys`` keys is in neither dict.
+    """
+
+    total: GramResult | None
+    grouped: dict[str, dict[str, GramResult]]
+    distinct: dict[str, int]
+
+
+def gram_pass(
+    df: DataFrame,
+    cols: Sequence[str] | None,
+    switches: Mapping[str, Sequence[str]] | None = None,
+    max_keys: int | None = None,
+) -> GramPass:
+    """Every Gram that discovery needs, from one scan of ``df`` (one Spark job).
+
+    ``cols`` are the columns of the global Gram (None: no global Gram);
+    ``switches`` maps each switch attribute to the columns of its branch
+    Grams.  Branches are keyed by ``branch_key``: rows whose switch value is
+    null belong to no branch.  Rows with a NaN/null in a Gram's columns are
+    left out of that Gram.  A switch with more than ``max_keys`` distinct
+    keys, in one partition or in all of ``df``, is dropped; its partials stop
+    growing as soon as one partition sees too many keys.
+
+    Each Gram is accumulated batch by batch and merged in partition order,
+    exactly as a pass computing only that Gram would, so the result does not
+    depend on what else the pass computes.
+    """
+    switches = {a: list(c) for a, c in (switches or {}).items()}
+    attrs = list(switches)
+    if cols is not None:
+        cols = list(cols)
+        if not cols:
+            raise ValueError("a Gram pass needs at least one numerical column")
+    needed = dict.fromkeys([*attrs, *(cols or []), *(c for bc in switches.values() for c in bc)])
+    partials = df.select(*needed).mapInPandas(
+        _partial_grams_fn(cols, switches, max_keys),
+        schema="s int, v string, n long, g array<double>",
+    ).collect()
+
+    def gcols(s: int) -> list[str]:
+        return cols if s < 0 else switches[attrs[s]]
+
+    acc: dict[tuple[int, str | None], tuple[int, np.ndarray]] = {}
+    if cols is not None:
+        acc[_TOTAL] = (0, np.zeros((len(cols) + 1,) * 2, dtype=np.float64))
+    seen: list[set[str]] = [set() for _ in attrs]
+    over: set[int] = set()
+    for row in partials:
+        s, v = row["s"], row["v"]
+        if s >= 0 and v is None:
+            over.add(s)
+            continue
+        if s >= 0:
+            seen[s].add(v)
+        if row["g"] is not None:
+            m1 = len(gcols(s)) + 1
+            _add(acc, (s, v), row["n"], np.asarray(row["g"], dtype=np.float64).reshape(m1, m1))
+    kept = [
+        s
+        for s in range(len(attrs))
+        if s not in over and (max_keys is None or len(seen[s]) <= max_keys)
+    ]
+    grams = {key: GramResult(cols=tuple(gcols(key[0])), n=n, g=g) for key, (n, g) in acc.items()}
+    return GramPass(
+        total=grams.get(_TOTAL),
+        grouped={attrs[s]: {v: r for (i, v), r in grams.items() if i == s} for s in kept},
+        distinct={attrs[s]: len(seen[s]) for s in kept},
+    )
+
+
 def augmented_gram(df: DataFrame, cols: Sequence[str] | None = None) -> GramResult:
-    """Compute ``GramResult`` for ``df`` over ``cols`` in one distributed pass.
+    """``GramResult`` of ``df`` over ``cols``: a ``gram_pass`` with no switch.
 
     Rows with a NaN/null in any of ``cols`` are dropped (the generators in
     this repo produce none; documented for completeness). ``cols`` defaults to
     all numerical attributes.
     """
-    cols = list(cols) if cols is not None else numeric_columns(df)
-    if not cols:
-        raise ValueError("augmented_gram needs at least one numerical column")
-    m1 = len(cols) + 1
-    partials = df.select(*cols).mapInPandas(
-        _partial_gram_fn(cols), schema="n long, g array<double>"
-    ).collect()
-    g = np.zeros((m1, m1), dtype=np.float64)
-    n = 0
-    for row in partials:
-        g += np.asarray(row["g"], dtype=np.float64).reshape(m1, m1)
-        n += row["n"]
-    return GramResult(cols=tuple(cols), n=n, g=g)
-
-
-def _grouped_partial_gram_fn(
-    attr: str, cols: Sequence[str]
-) -> Callable[[Iterator[pd.DataFrame]], Iterator[pd.DataFrame]]:
-    cols = list(cols)
-    m1 = len(cols) + 1
-
-    def fn(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        acc: dict[str, tuple[int, np.ndarray]] = {}
-        for pdf in batches:
-            for v, sub in pdf.groupby(attr, dropna=False, observed=True):
-                x = sub[cols].to_numpy(dtype=np.float64, copy=False)
-                if x.size:
-                    x = x[~np.isnan(x).any(axis=1)]
-                if not len(x):
-                    continue
-                xa = np.hstack([np.ones((len(x), 1)), x])
-                key = str(v)
-                n0, g0 = acc.get(key, (0, np.zeros((m1, m1), dtype=np.float64)))
-                acc[key] = (n0 + len(x), g0 + xa.T @ xa)
-        yield pd.DataFrame(
-            {
-                "v": list(acc.keys()),
-                "n": [n for n, _ in acc.values()],
-                "g": [g.ravel().tolist() for _, g in acc.values()],
-            }
-        )
-
-    return fn
+    return gram_pass(df, list(cols) if cols is not None else numeric_columns(df)).total
 
 
 def grouped_augmented_gram(
@@ -157,24 +248,8 @@ def grouped_augmented_gram(
     """Per-partition Gram matrices for the disjunctive constraints of §4.2.
 
     Partitions ``df`` logically by the value of ``attr`` (the paper's switch
-    attribute) and returns ``{str(value): GramResult}``.  Implemented without
-    a shuffle: each Spark partition groups locally and emits one partial per
-    value it saw; the driver merges the (<= values x partitions) small rows.
-    Keys are stringified for Arrow transport; callers map them back to typed
-    values via a ``distinct()`` on the attribute (see ``discovery``).
+    attribute) and returns ``{branch_key(value): GramResult}`` over ``cols``:
+    a ``gram_pass`` with one switch and no global Gram.  No shuffle: each
+    Spark partition groups locally and emits one partial per value it saw.
     """
-    cols = list(cols)
-    m1 = len(cols) + 1
-    partials = df.select(attr, *cols).mapInPandas(
-        _grouped_partial_gram_fn(attr, cols), schema="v string, n long, g array<double>"
-    ).collect()
-    out: dict[str, tuple[int, np.ndarray]] = {}
-    for row in partials:
-        n0, g0 = out.get(row["v"], (0, np.zeros((m1, m1), dtype=np.float64)))
-        out[row["v"]] = (
-            n0 + row["n"],
-            g0 + np.asarray(row["g"], dtype=np.float64).reshape(m1, m1),
-        )
-    return {
-        v: GramResult(cols=tuple(cols), n=n, g=g) for v, (n, g) in out.items()
-    }
+    return gram_pass(df, None, {attr: cols}).grouped[attr]

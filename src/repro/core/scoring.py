@@ -32,6 +32,7 @@ from repro.core.constraints import (
     DisjunctiveConstraint,
     EPS_STD,
     SimpleConstraint,
+    branch_keys,
 )
 
 # ---------------------------------------------------------------------------
@@ -209,7 +210,7 @@ def violation_numpy(c: Constraint, pdf: pd.DataFrame) -> np.ndarray:
         return out
     if isinstance(c, DisjunctiveConstraint):
         out = np.ones(n, dtype=np.float64)
-        keys = pdf[c.attr].map(_py_str).to_numpy()
+        keys = branch_keys(pdf[c.attr])
         for v, branch in c.branches.items():
             mask = keys == v
             if mask.any():
@@ -224,8 +225,3 @@ def violation_numpy(c: Constraint, pdf: pd.DataFrame) -> np.ndarray:
         return out / float(len(c.parts))
     raise TypeError(f"not a constraint: {type(c)!r}")
 
-
-def _py_str(v: object) -> str:
-    # numpy ints stringify like Python ints ("5"), matching Spark's
-    # CAST(int AS STRING); keep a single choke point in case of new key types.
-    return str(v)

@@ -30,6 +30,7 @@ from repro.core.constraints import (
     Constraint,
     DisjunctiveConstraint,
     SimpleConstraint,
+    branch_keys,
 )
 
 _EPS = 1e-9
@@ -75,7 +76,7 @@ def _flatten(
     global_means: np.ndarray,
 ) -> _Atoms:
     """Flatten ``constraint`` for the tuple group whose disjunctive switch
-    attributes take ``branch_values`` (attr -> stringified value)."""
+    attributes take ``branch_values`` (attr -> ``branch_key`` of the value)."""
     parts: tuple[Constraint, ...]
     if isinstance(constraint, CompoundConstraint):
         parts = constraint.parts
@@ -176,7 +177,8 @@ def _batch_responsibilities(
     """(B, m) responsibilities for one pandas batch."""
     out = np.zeros((len(pdf), len(cols)))
     if switch_attrs:
-        groups = pdf.groupby([pdf[s].map(str) for s in switch_attrs], sort=False).indices
+        keys = [branch_keys(pdf[s]) for s in switch_attrs]
+        groups = pdf.groupby(keys, sort=False, dropna=False).indices
         for key, idx in groups.items():
             key = (key,) if not isinstance(key, tuple) else key
             branch_values = dict(zip(switch_attrs, key))

@@ -1,6 +1,11 @@
 """Tests for the constraint language representation (repro.core.constraints)."""
 from __future__ import annotations
 
+import datetime
+from decimal import Decimal
+
+import numpy as np
+import pandas as pd
 import pytest
 
 from repro.core.constraints import (
@@ -9,6 +14,8 @@ from repro.core.constraints import (
     DisjunctiveConstraint,
     EPS_STD,
     SimpleConstraint,
+    branch_key,
+    branch_keys,
     constraint_from_dict,
     constraint_to_dict,
     normalize_gammas,
@@ -103,3 +110,31 @@ def test_normalize_gammas_sums_to_one():
 def test_normalize_gammas_empty_and_degenerate():
     assert normalize_gammas([]) == []
     assert normalize_gammas([0.0, 0.0]) == [0.5, 0.5]
+
+
+@pytest.mark.parametrize(
+    "value,key",
+    [
+        ("g0", "g0"),
+        (True, "true"),
+        (np.bool_(False), "false"),
+        (3, "3"),
+        (np.int64(3), "3"),
+        (2.5, "2.5"),
+        (Decimal("1.50"), "1.50"),
+        (datetime.date(2020, 1, 2), "2020-01-02"),
+        (pd.Timestamp("2020-01-02 03:04:05"), "2020-01-02 03:04:05"),
+        (pd.Timestamp("2020-01-02 03:04:05.250"), "2020-01-02 03:04:05.25"),
+        (None, None),
+        (np.nan, None),
+        (pd.NaT, None),
+    ],
+)
+def test_branch_key_matches_cast_as_string(value, key):
+    """Spark's and DuckDB's CAST(value AS STRING); null has no key."""
+    assert branch_key(value) == key
+
+
+def test_branch_keys_vectorized():
+    keys = branch_keys(pd.Series([True, None, False, True], dtype=object))
+    assert keys.tolist() == ["true", None, "false", "true"]

@@ -1,11 +1,19 @@
 """Tests for constraint synthesis (repro.core.discovery)."""
 from __future__ import annotations
 
+import uuid
+
 import numpy as np
 import pandas as pd
 import pytest
+from pyspark.sql import functions as Fn
 
-from repro.core.constraints import CompoundConstraint, DisjunctiveConstraint, SimpleConstraint
+from repro.core.constraints import (
+    CompoundConstraint,
+    DisjunctiveConstraint,
+    SimpleConstraint,
+    constraint_to_dict,
+)
 from repro.core.discovery import (
     DEFAULT_C,
     discover,
@@ -13,7 +21,9 @@ from repro.core.discovery import (
     discover_simple,
     eligible_partition_attrs,
     equality_projection_weights,
+    switch_candidates,
 )
+from repro.core.gram import numeric_columns
 from repro.core.scoring import average_violation, violation_numpy
 from tests.helpers import linear_pdf, piecewise_pdf
 
@@ -156,3 +166,123 @@ def test_col_means_recorded(spark):
     np.testing.assert_allclose(
         c.col_means, pdf[["a", "b", "c"]].mean().to_numpy(), rtol=1e-9
     )
+
+
+def test_only_atomic_non_numeric_columns_are_switch_candidates(spark):
+    """Array, map, struct and binary columns are never auto-selected, however
+    few values they take; strings, booleans, dates and timestamps are, and
+    every engine keys their branches the same way."""
+    pdf = piecewise_pdf(n_per=60, seed=15)
+    day = {"g0": "2020-01-01 08:00:00", "g1": "2020-01-02 09:30:00.5", "g2": "2020-01-03 00:00:00"}
+    pdf["when"] = pd.to_datetime(pdf["grp"].map(day), format="ISO8601")
+    df = (
+        spark.createDataFrame(pdf)
+        .withColumn("day", Fn.to_date("when"))
+        .withColumn("arr", Fn.array(Fn.when(Fn.col("grp") == "g0", 1.0).otherwise(2.0)))
+        .withColumn("dict", Fn.create_map(Fn.lit("k"), Fn.col("grp")))
+        .withColumn("rec", Fn.struct("grp"))
+        .withColumn("raw", Fn.col("grp").cast("binary"))
+    )
+    assert switch_candidates(df, ["x", "y"]) == ["grp", "when", "day"]
+    assert eligible_partition_attrs(df, ["x", "y"]) == ["grp", "when", "day"]
+    c = discover(df)
+    assert [p.attr for p in c.parts[1:]] == ["grp", "when", "day"]
+    assert set(c.parts[2].branches) == {
+        "2020-01-01 08:00:00", "2020-01-02 09:30:00.5", "2020-01-03 00:00:00"
+    }
+    assert average_violation(df, c, engine="pandas") == pytest.approx(
+        average_violation(df, c, engine="catalyst"), rel=1e-9
+    )
+    assert average_violation(df, c) < 0.02
+
+
+def _spread(spark, pdf, *by):
+    """``pdf`` as a cached DataFrame of 8 partitions (hash partitioned on
+    ``by`` if given), so that repeated passes see the same row order."""
+    df = spark.createDataFrame(pdf).repartition(8, *by).cache()
+    df.count()
+    return df
+
+
+def _composed(df, cols=None, partition_attrs=None, include_global=True):
+    """``discover`` spelled out as its parts, one Spark pass each."""
+    cols = list(cols) if cols is not None else numeric_columns(df)
+    if partition_attrs is None:
+        partition_attrs = eligible_partition_attrs(df, cols)
+    parts = [discover_simple(df, cols)] if include_global or not partition_attrs else []
+    parts += [
+        discover_disjunctive(df, a, [c for c in cols if c != a]) for a in partition_attrs
+    ]
+    return CompoundConstraint(parts=tuple(parts))
+
+
+def _equivalence_pdf(seed: int) -> pd.DataFrame:
+    pdf = piecewise_pdf(n_per=200, seed=seed)
+    n = len(pdf)
+    pdf["half"] = np.where(np.arange(n) % 2 == 0, "even", "odd")
+    pdf["wide"] = [f"w{i % 80}" for i in range(n)]  # 80 values, ~10 per partition
+    pdf["sparse"] = np.where(np.arange(n) % 7 == 0, "only", None)  # one non-null value
+    pdf["gappy"] = np.where(np.arange(n) % 5 == 0, None, pdf["half"])  # nulls in a switch
+    pdf["digit"] = (np.arange(n) % 4).astype("int64")
+    pdf.loc[::13, "y"] = np.nan  # NaN feature rows
+    return pdf
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {},
+        {"include_global": False},
+        {"cols": ["x", "y", "digit"], "partition_attrs": ["digit"]},
+        {"cols": ["x", "y", "digit"], "partition_attrs": ["digit", "grp"], "include_global": False},
+        {"partition_attrs": ["gappy"]},
+        {"partition_attrs": []},
+    ],
+    ids=["auto", "auto-no-global", "explicit-in-cols", "explicit-no-global", "nulls", "none"],
+)
+def test_discover_equals_composition(spark, kwargs):
+    """One fused pass gives exactly the constraint of the separate passes."""
+    df = _spread(spark, _equivalence_pdf(seed=16), "wide")
+    got = discover(df, **kwargs)
+    assert constraint_to_dict(got) == constraint_to_dict(_composed(df, **kwargs))
+    if "partition_attrs" not in kwargs:
+        # grp, half and gappy qualify; wide has > 50 values overall though
+        # never more than 50 in one partition; sparse has one non-null value
+        assert [p.attr for p in got.parts if isinstance(p, DisjunctiveConstraint)] == [
+            "grp", "half", "gappy"
+        ]
+
+
+def test_null_switch_values_belong_to_no_branch(spark):
+    pdf = _equivalence_pdf(seed=17)
+    c = discover_disjunctive(_spread(spark, pdf), "gappy", ["x", "y"])
+    assert set(c.branches) == {"even", "odd"}
+    clean = pdf.dropna(subset=["y"])
+    assert sum(b.n for b in c.branches.values()) == clean["gappy"].notna().sum()
+
+
+def _spark_jobs(spark, fn) -> int:
+    sc = spark.sparkContext
+    group = f"test-jobs-{uuid.uuid4()}"
+    sc.setJobGroup(group, "count the Spark jobs of one call")
+    try:
+        fn()
+    finally:
+        sc.setLocalProperty("spark.jobGroup.id", None)
+        sc.setLocalProperty("spark.job.description", None)
+    return len(sc.statusTracker().getJobIdsForGroup(group))
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {},
+        {"cols": ["x", "y", "digit"], "partition_attrs": ["digit", "grp"]},
+        {"include_global": False},
+        {"cols": ["x", "y"], "partition_attrs": ["grp"], "include_global": False},
+    ],
+    ids=["auto", "explicit", "auto-no-global", "explicit-no-global"],
+)
+def test_discover_launches_one_spark_job(spark, kwargs):
+    df = _spread(spark, _equivalence_pdf(seed=18))
+    assert _spark_jobs(spark, lambda: discover(df, **kwargs)) == 1

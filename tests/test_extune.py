@@ -91,6 +91,19 @@ def test_unseen_branch_value_capped_not_crashing(spark):
     assert np.allclose(r.to_numpy(), 1.0 / 5.0)
 
 
+def test_boolean_switch_branches_found(spark):
+    """ExTuNe keys tuples with the discovery's ``branch_key``: training
+    tuples of a boolean switch find their branch and get ~no responsibility
+    (an unmatched key would give every attribute a capped 1/(max_steps+1))."""
+    pdf = piecewise_pdf(n_per=200, seed=12)
+    pdf["flag"] = pdf.pop("grp") == "g0"
+    df = spark.createDataFrame(pdf)
+    c = discover(df, include_global=False)
+    assert set(c.parts[0].branches) == {"true", "false"}
+    r = responsibilities(df.limit(100), c, ["x", "y"])
+    assert (r < 0.05).all()
+
+
 def test_led_malfunction_blamed(spark):
     """Figure 10(d) mechanics: constraints from window 0 (partitioned on
     digit); in a window where LEDs 4 and 5 malfunction, those two attributes

@@ -15,6 +15,7 @@ from repro.core.constraints import (
     DisjunctiveConstraint,
     SimpleConstraint,
 )
+from repro.core.discovery import discover
 from repro.core.scoring import (
     average_violation,
     score,
@@ -22,7 +23,7 @@ from repro.core.scoring import (
     violation_sql,
 )
 from repro.oracle import assert_equivalent
-from tests.helpers import linear_pdf
+from tests.helpers import linear_pdf, piecewise_pdf
 
 
 def _atom(mean=0.0, std=1.0, gamma=1.0, weights=(1.0, 0.0), C=4.0):
@@ -265,3 +266,27 @@ def test_strict_equality_atom_fires_on_any_deviation():
     v = violation_numpy(c, pdf)
     assert v[0] == 0.0
     assert v[1] > 0.99  # alpha = 1e9 makes even 1e-4 a near-total violation
+
+
+def test_engines_agree_on_boolean_switch(spark):
+    """Branch keys of a boolean switch are "true"/"false", as CAST(... AS
+    STRING) gives in Spark and DuckDB: the pandas kernel, the Catalyst
+    expression and the SQL text pick the same branch, and the training data
+    scores about 0 against its own constraint."""
+    pdf = piecewise_pdf(n_per=100, seed=30)
+    pdf["flag"] = pdf.pop("grp") == "g0"
+    df = spark.createDataFrame(pdf)
+    c = discover(df)
+    assert c.parts[1].attr == "flag"
+    assert set(c.parts[1].branches) == {"true", "false"}
+    pandas_v = score(df, c, engine="pandas").toPandas().sort_values(["x", "y"])
+    catalyst = score(df, c, engine="catalyst")
+    catalyst_v = catalyst.toPandas().sort_values(["x", "y"])
+    np.testing.assert_allclose(pandas_v["violation"], catalyst_v["violation"], rtol=1e-9)
+    assert_equivalent(
+        catalyst.select("x", "y", "flag", "violation"),
+        f"SELECT x, y, flag, {violation_sql(c)} AS violation FROM d",
+        d=pdf,
+    )
+    assert average_violation(df, c, engine="catalyst") < 0.02
+    assert average_violation(df, c, engine="pandas") < 0.02
