@@ -22,6 +22,7 @@ from typing import Any, Union
 
 import numpy as np
 import pandas as pd
+from pyspark.sql.types import DataType, IntegralType
 
 #: Floor applied to sigma when used as the scaling factor alpha = 1/sigma.
 #: The paper sets alpha to "a large positive number" when sigma = 0; the floor
@@ -114,9 +115,16 @@ def branch_key(v: Any) -> str | None:
     return str(v)
 
 
-def branch_keys(values: pd.Series) -> np.ndarray:
-    """``branch_key`` of every value, computed once per distinct value."""
+def branch_keys(values: pd.Series | np.ndarray, spark_type: DataType | None = None) -> np.ndarray:
+    """``branch_key`` of every value, computed once per distinct value.
+
+    ``spark_type`` is the values' Spark type, when they come from a Spark
+    column: an integral column holding nulls reaches pandas as float64, and
+    its keys must still read ``"1"``, as ``CAST`` gives, not ``"1.0"``.
+    """
     codes, uniques = pd.factorize(values)
+    if isinstance(spark_type, IntegralType):
+        uniques = uniques.astype(np.int64)
     return np.array([branch_key(u) for u in uniques] + [None], dtype=object)[codes]
 
 

@@ -34,8 +34,9 @@ from typing import Callable, Iterator, Mapping, Sequence
 import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame
+from pyspark.sql.types import DataType
 
-from repro.core.constraints import branch_key
+from repro.core.constraints import branch_keys
 
 #: Spark simple-type names treated as numerical attributes (the paper's
 #: Algorithm 1 line 1 drops everything else). Dates, strings, booleans and
@@ -105,7 +106,10 @@ _TOTAL = (-1, None)
 
 
 def _partial_grams_fn(
-    cols: list[str] | None, switches: dict[str, list[str]], max_keys: int | None
+    cols: list[str] | None,
+    switches: dict[str, list[str]],
+    types: dict[str, DataType],
+    max_keys: int | None,
 ) -> Callable[[Iterator[pd.DataFrame]], Iterator[pd.DataFrame]]:
     """The kernel of ``gram_pass``: every partial Gram of one Spark partition.
 
@@ -129,7 +133,7 @@ def _partial_grams_fn(
                 if seen[i] is None:
                     continue
                 codes, uniques = pd.factorize(pdf[attr], sort=True)
-                keys = [branch_key(u) for u in uniques]
+                keys = list(branch_keys(uniques, types[attr]))
                 seen[i].update(keys)
                 if max_keys is not None and len(seen[i]) > max_keys:
                     seen[i] = None
@@ -197,7 +201,7 @@ def gram_pass(
             raise ValueError("a Gram pass needs at least one numerical column")
     needed = dict.fromkeys([*attrs, *(cols or []), *(c for bc in switches.values() for c in bc)])
     partials = df.select(*needed).mapInPandas(
-        _partial_grams_fn(cols, switches, max_keys),
+        _partial_grams_fn(cols, switches, {a: df.schema[a].dataType for a in attrs}, max_keys),
         schema="s int, v string, n long, g array<double>",
     ).collect()
 

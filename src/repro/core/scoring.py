@@ -19,11 +19,13 @@ with eta(z) = 1 - e^{-z} and alpha = 1/sigma(F(D)) (floored, see
 from __future__ import annotations
 
 from functools import reduce
+from typing import Mapping
 
 import numpy as np
 import pandas as pd
 from pyspark.sql import Column, DataFrame
 from pyspark.sql import functions as Fn
+from pyspark.sql.types import DataType
 
 from repro.core.constraints import (
     BoundedProjection,
@@ -92,6 +94,10 @@ def constraint_columns(c: Constraint) -> list[str]:
     raise TypeError(f"not a constraint: {type(c)!r}")
 
 
+def _types(df: DataFrame) -> dict[str, DataType]:
+    return {f.name: f.dataType for f in df.schema.fields}
+
+
 def score(
     df: DataFrame, c: Constraint, col_name: str = "violation", engine: str = "pandas"
 ) -> DataFrame:
@@ -112,11 +118,12 @@ def score(
     from pyspark.sql.types import DoubleType, StructField, StructType
 
     out_schema = StructType(df.schema.fields + [StructField(col_name, DoubleType())])
+    types = _types(df)
 
     def fn(batches):
         for pdf in batches:
             pdf = pdf.copy()
-            pdf[col_name] = violation_numpy(c, pdf)
+            pdf[col_name] = violation_numpy(c, pdf, types)
             yield pdf
 
     return df.mapInPandas(fn, schema=out_schema)
@@ -130,12 +137,13 @@ def average_violation(df: DataFrame, c: Constraint, engine: str = "pandas") -> f
     if engine != "pandas":
         raise ValueError(f"unknown engine {engine!r}")
     cols = constraint_columns(c)
+    types = _types(df)
 
     def fn(batches):
         total = 0.0
         n = 0
         for pdf in batches:
-            v = violation_numpy(c, pdf)
+            v = violation_numpy(c, pdf, types)
             total += float(v.sum())
             n += len(v)
         yield pd.DataFrame({"total": [total], "n": [n]})
@@ -200,8 +208,14 @@ def _atom_numpy(b: BoundedProjection, pdf: pd.DataFrame) -> np.ndarray:
     return 1.0 - np.exp(-b.alpha * dev)
 
 
-def violation_numpy(c: Constraint, pdf: pd.DataFrame) -> np.ndarray:
-    """Vectorized reference implementation of [[c]] over a pandas frame."""
+def violation_numpy(
+    c: Constraint, pdf: pd.DataFrame, types: Mapping[str, DataType] | None = None
+) -> np.ndarray:
+    """Vectorized reference implementation of [[c]] over a pandas frame.
+
+    ``types`` maps column names to their Spark types when ``pdf`` is a batch
+    of a Spark DataFrame; switch attributes are keyed with them.
+    """
     n = len(pdf)
     if isinstance(c, SimpleConstraint):
         out = np.zeros(n, dtype=np.float64)
@@ -210,7 +224,7 @@ def violation_numpy(c: Constraint, pdf: pd.DataFrame) -> np.ndarray:
         return out
     if isinstance(c, DisjunctiveConstraint):
         out = np.ones(n, dtype=np.float64)
-        keys = branch_keys(pdf[c.attr])
+        keys = branch_keys(pdf[c.attr], (types or {}).get(c.attr))
         for v, branch in c.branches.items():
             mask = keys == v
             if mask.any():
@@ -221,7 +235,7 @@ def violation_numpy(c: Constraint, pdf: pd.DataFrame) -> np.ndarray:
             return np.zeros(n, dtype=np.float64)
         out = np.zeros(n, dtype=np.float64)
         for p in c.parts:
-            out += violation_numpy(p, pdf)
+            out += violation_numpy(p, pdf, types)
         return out / float(len(c.parts))
     raise TypeError(f"not a constraint: {type(c)!r}")
 

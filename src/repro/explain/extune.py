@@ -13,17 +13,28 @@ For a non-conforming tuple t and attribute A_i:
 
 Per-tuple responsibilities are averaged over the test set.  The search runs
 distributed via ``mapInPandas``; inside a batch the constraint is flattened
-into projection space so an intervention is a rank-1 update of the projection
-values — no per-candidate re-evaluation of the whole constraint.
+into projection space (once per distinct branch combination and Spark task),
+so an intervention is a rank-1 update of the projection values — no
+per-candidate re-evaluation of the whole constraint.
+
+All B x m searches of a branch group (violating tuple x first-fixed
+attribute) run together as one array program: a round scores every
+candidate fix of every unresolved search at once, takes the first best
+candidate (ties go to the lowest attribute index), and keeps only the
+searches still violating.  A search that has nothing left to fix while still
+violating is capped at ``max_steps``, like one that runs out of steps, so a
+tuple's responsibilities never depend on the other tuples of its batch.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from functools import cache
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame
+from pyspark.sql.types import DataType
 
 from repro.core.constraints import (
     CompoundConstraint,
@@ -34,6 +45,10 @@ from repro.core.constraints import (
 )
 
 _EPS = 1e-9
+#: Most candidate projection values (searches x m x K) one round of the
+#: greedy search holds at once: 512 KiB per float64 temporary, which keeps a
+#: round's temporaries in cache.
+_MAX_CANDIDATES = 1 << 16
 
 
 @dataclass
@@ -116,79 +131,118 @@ def _flatten(
 
 
 def _violation_from_projections(a: _Atoms, p: np.ndarray) -> np.ndarray:
-    """Violation for projection-value matrix ``p`` (B, K)."""
-    dev = np.maximum(0.0, np.maximum(p - a.ub, a.lb - p))
-    return (a.coef * (1.0 - np.exp(-a.alpha * dev))).sum(axis=1) + a.const
+    """Violation for projection values ``p`` (..., K), reduced over the last axis."""
+    t = p - a.ub  # one buffer, updated in place: the same roundings, fewer allocations
+    np.maximum(t, a.lb - p, out=t)
+    np.maximum(t, 0.0, out=t)
+    t *= -a.alpha
+    np.exp(t, out=t)
+    np.subtract(1.0, t, out=t)
+    t *= a.coef
+    return t.sum(axis=-1) + a.const
+
+
+def _extra_fixes(
+    a: _Atoms, p: np.ndarray, d: np.ndarray, eps: float, max_steps: int
+) -> np.ndarray:
+    """How many more attributes each of R searches fixes, capped at ``max_steps``.
+
+    ``p`` (R, K) holds each search's projection values and ``d`` (R, m) the
+    change that fixing each attribute still makes (0: fixed, or already at
+    its target).  One round scores every candidate of every unresolved
+    search as an (R, m, K) array, applies each search's first best fix, and
+    keeps only the searches still violating.
+    """
+    k = np.full(len(p), float(max_steps))
+    unresolved = _violation_from_projections(a, p) > eps
+    k[~unresolved] = 0.0
+    ids = np.flatnonzero(unresolved)
+    p, d = p[ids], d[ids]
+    wt = a.weights.T  # (m, K)
+    for step in range(1, max_steps + 1):
+        if not len(ids):
+            break
+        cand = d[:, :, None] * wt
+        cand += p[:, None, :]
+        v = _violation_from_projections(a, cand)  # (R, m)
+        v[d == 0.0] = np.inf
+        j = v.argmin(axis=1)  # first minimum, as a scan over j with `<` picks
+        best = v[np.arange(len(j)), j]
+        # a search with nothing left to fix keeps its cap
+        movable = np.flatnonzero(np.isfinite(best))
+        ids, j, best = ids[movable], j[movable], best[movable]
+        p = cand[movable, j]
+        d = d[movable]
+        d[np.arange(len(j)), j] = 0.0
+        done = best <= eps
+        k[ids[done]] = step
+        ids, p, d = ids[~done], p[~done], d[~done]
+    return k
 
 
 def _greedy_group(
     a: _Atoms, x: np.ndarray, eps: float, max_steps: int
 ) -> np.ndarray:
-    """(B, m) responsibilities for one flattened group of tuples ``x``."""
+    """(B, m) responsibilities for one flattened group of tuples ``x``.
+
+    Runs one search per (violating tuple, first-fixed attribute), in chunks
+    of at most ``_MAX_CANDIDATES`` candidate projection values per round.
+    """
     b_n, m = x.shape
     resp = np.zeros((b_n, m))
     p0 = x @ a.weights.T  # (B, K)
-    base = _violation_from_projections(a, p0)
-    active = base > eps
-    if not active.any():
+    active = np.flatnonzero(_violation_from_projections(a, p0) > eps)
+    if not len(active):
         return resp
-    delta0 = a.fix_values[None, :] - x  # (B, m): effect of fixing each attr
-    for i in range(m):
-        # step 0: fix attribute i
-        p = p0 + delta0[:, i][:, None] * a.weights[:, i][None, :]
-        delta = delta0.copy()
-        delta[:, i] = 0.0  # already fixed
-        k_extra = np.zeros(b_n)
-        unresolved = active & (_violation_from_projections(a, p) > eps)
-        for _ in range(max_steps):
-            if not unresolved.any():
-                break
-            best_v = np.full(b_n, np.inf)
-            best_j = np.full(b_n, -1, dtype=int)
-            for j in range(m):
-                cand = p + delta[:, j][:, None] * a.weights[:, j][None, :]
-                vj = _violation_from_projections(a, cand)
-                vj = np.where(delta[:, j] == 0.0, np.inf, vj)  # already fixed
-                better = unresolved & (vj < best_v)
-                best_v[better] = vj[better]
-                best_j[better] = j
-            movable = unresolved & (best_j >= 0)
-            if not movable.any():
-                break
-            rows = np.flatnonzero(movable)
-            p[rows] += delta[rows, best_j[rows]][:, None] * a.weights[:, best_j[rows]].T
-            delta[rows, best_j[rows]] = 0.0
-            k_extra[rows] += 1
-            unresolved = movable & (best_v > eps)
-        k_extra[unresolved] = max_steps  # cap: never reached conformance
-        resp[active, i] = 1.0 / (k_extra[active] + 1.0)
+    tuples = np.repeat(active, m)
+    first = np.tile(np.arange(m), len(active))
+    delta = a.fix_values[None, :] - x  # (B, m): effect of fixing each attr
+    chunk = max(1, _MAX_CANDIDATES // max(1, m * len(a.weights)))
+    for s in range(0, len(tuples), chunk):
+        t, i = tuples[s : s + chunk], first[s : s + chunk]
+        r = np.arange(len(t))
+        d = delta[t]
+        p = p0[t] + d[r, i][:, None] * a.weights[:, i].T  # step 0: fix attribute i
+        d[r, i] = 0.0
+        resp[t, i] = 1.0 / (_extra_fixes(a, p, d, eps, max_steps) + 1.0)
     return resp
 
 
 def _batch_responsibilities(
     pdf: pd.DataFrame,
-    constraint: Constraint,
+    atoms: Callable[[tuple], _Atoms],
     cols: list[str],
-    switch_attrs: list[str],
-    global_means: np.ndarray,
+    switch: Mapping[str, DataType],
     eps: float,
     max_steps: int,
 ) -> np.ndarray:
-    """(B, m) responsibilities for one pandas batch."""
-    out = np.zeros((len(pdf), len(cols)))
-    if switch_attrs:
-        keys = [branch_keys(pdf[s]) for s in switch_attrs]
-        groups = pdf.groupby(keys, sort=False, dropna=False).indices
-        for key, idx in groups.items():
-            key = (key,) if not isinstance(key, tuple) else key
-            branch_values = dict(zip(switch_attrs, key))
-            a = _flatten(constraint, cols, branch_values, global_means)
-            x = pdf.iloc[idx][cols].to_numpy(dtype=np.float64)
-            out[idx] = _greedy_group(a, x, eps, max_steps)
-    else:
-        a = _flatten(constraint, cols, {}, global_means)
-        out[:] = _greedy_group(a, pdf[cols].to_numpy(dtype=np.float64), eps, max_steps)
+    """(B, m) responsibilities for one pandas batch.
+
+    ``atoms`` flattens the constraint for a tuple of branch keys, one per
+    attribute of ``switch`` (attribute -> its Spark type).
+    """
+    x = pdf[cols].to_numpy(dtype=np.float64)
+    if not switch:
+        return _greedy_group(atoms(()), x, eps, max_steps)
+    out = np.zeros(x.shape)
+    keys = [branch_keys(pdf[s], t) for s, t in switch.items()]
+    for key, idx in pdf.groupby(keys, sort=False, dropna=False).indices.items():
+        key = key if isinstance(key, tuple) else (key,)
+        out[idx] = _greedy_group(atoms(key), x[idx], eps, max_steps)
     return out
+
+
+def _flattener(
+    constraint: Constraint, cols: list[str], switch_attrs: list[str], global_means: np.ndarray
+) -> Callable[[tuple], _Atoms]:
+    """``_flatten`` per tuple of branch keys, memoized: each distinct
+    combination is flattened once per Spark task."""
+
+    @cache
+    def atoms(key: tuple) -> _Atoms:
+        return _flatten(constraint, cols, dict(zip(switch_attrs, key)), global_means)
+
+    return atoms
 
 
 def _switch_attrs(constraint: Constraint) -> list[str]:
@@ -235,17 +289,16 @@ def responsibilities(
     ``mapInPandas``; only (m+1)-length partial sums reach the driver.
     """
     cols = list(cols)
-    switch = _switch_attrs(constraint)
+    switch = {s: df.schema[s].dataType for s in _switch_attrs(constraint)}
     means = _global_means(constraint, cols)
-    needed = list(dict.fromkeys(switch + cols))
+    needed = list(dict.fromkeys([*switch, *cols]))
 
     def fn(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
+        atoms = _flattener(constraint, cols, list(switch), means)
         sums = np.zeros(len(cols))
         n = 0
         for pdf in batches:
-            r = _batch_responsibilities(
-                pdf, constraint, cols, switch, means, eps, max_steps
-            )
+            r = _batch_responsibilities(pdf, atoms, cols, switch, eps, max_steps)
             sums += r.sum(axis=0)
             n += len(pdf)
         yield pd.DataFrame({"n": [n], "sums": [sums.tolist()]})

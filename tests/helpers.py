@@ -4,6 +4,10 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
+from repro.core.constraints import CompoundConstraint
+from repro.core.discovery import disjunctive_from_grams
+from repro.core.gram import GramResult
+
 
 def linear_pdf(
     n: int = 500,
@@ -49,3 +53,68 @@ def numpy_aug_gram(pdf: pd.DataFrame, cols: list[str]) -> tuple[int, np.ndarray]
     x = pdf[cols].to_numpy(dtype=np.float64)
     xa = np.hstack([np.ones((len(x), 1)), x])
     return len(x), xa.T @ xa
+
+
+def grouped_constraint(pdf: pd.DataFrame, attr: str, cols: list[str]) -> CompoundConstraint:
+    """``discover(df, cols, partition_attrs=[attr], include_global=False)``
+    for an integer switch ``attr``, computed with numpy instead of Spark."""
+    grams = {
+        str(k): GramResult(cols=tuple(cols), n=n, g=g)
+        for k, part in pdf.groupby(attr)
+        for n, g in [numpy_aug_gram(part, cols)]
+    }
+    return CompoundConstraint(parts=(disjunctive_from_grams(attr, grams),))
+
+
+def _violation_ref(a, p: np.ndarray) -> np.ndarray:
+    dev = np.maximum(0.0, np.maximum(p - a.ub, a.lb - p))
+    return (a.coef * (1.0 - np.exp(-a.alpha * dev))).sum(axis=1) + a.const
+
+
+def greedy_group_reference(a, x: np.ndarray, eps: float, max_steps: int) -> np.ndarray:
+    """Reference for ``extune._greedy_group``: one greedy search at a time.
+
+    For every first-fixed attribute ``i``, all tuples of ``x`` advance in
+    lock-step, one candidate attribute ``j`` per numpy call.  A search with no
+    attribute left to fix that still violates is capped at ``max_steps``
+    whatever its batch-mates do, so a tuple's responsibilities depend on
+    that tuple alone.
+    """
+    b_n, m = x.shape
+    resp = np.zeros((b_n, m))
+    p0 = x @ a.weights.T  # (B, K)
+    active = _violation_ref(a, p0) > eps
+    if not active.any():
+        return resp
+    delta0 = a.fix_values[None, :] - x  # (B, m): effect of fixing each attr
+    for i in range(m):
+        # step 0: fix attribute i
+        p = p0 + delta0[:, i][:, None] * a.weights[:, i][None, :]
+        delta = delta0.copy()
+        delta[:, i] = 0.0  # already fixed
+        k_extra = np.zeros(b_n)
+        capped = np.zeros(b_n, dtype=bool)
+        unresolved = active & (_violation_ref(a, p) > eps)
+        for _ in range(max_steps):
+            if not unresolved.any():
+                break
+            best_v = np.full(b_n, np.inf)
+            best_j = np.full(b_n, -1, dtype=int)
+            for j in range(m):
+                cand = p + delta[:, j][:, None] * a.weights[:, j][None, :]
+                vj = _violation_ref(a, cand)
+                vj = np.where(delta[:, j] == 0.0, np.inf, vj)  # already fixed
+                better = unresolved & (vj < best_v)
+                best_v[better] = vj[better]
+                best_j[better] = j
+            stuck = unresolved & (best_j < 0)  # nothing left to fix
+            capped |= stuck
+            movable = unresolved & ~stuck
+            rows = np.flatnonzero(movable)
+            p[rows] += delta[rows, best_j[rows]][:, None] * a.weights[:, best_j[rows]].T
+            delta[rows, best_j[rows]] = 0.0
+            k_extra[rows] += 1
+            unresolved = movable & (best_v > eps)
+        k_extra[unresolved | capped] = max_steps  # never reached conformance
+        resp[active, i] = 1.0 / (k_extra[active] + 1.0)
+    return resp

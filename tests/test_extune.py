@@ -4,11 +4,18 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 import pytest
+from pyspark.sql.types import LongType
 
 from repro.core.discovery import discover, discover_simple
-from repro.datasets.led import LED_COLS, led_window_pdf
+from repro.datasets.led import IRRELEVANT_COLS, LED_COLS, led_window_pdf
+from repro.explain import extune
 from repro.explain.extune import responsibilities
-from tests.helpers import linear_pdf, piecewise_pdf
+from tests.helpers import (
+    greedy_group_reference,
+    grouped_constraint,
+    linear_pdf,
+    piecewise_pdf,
+)
 
 
 def test_conforming_tuples_get_zero_responsibility(spark):
@@ -143,3 +150,108 @@ def test_distributed_matches_single_partition(spark):
     r1 = responsibilities(sdf.repartition(8), c, ["a", "b", "c"])
     r2 = responsibilities(sdf.coalesce(1), c, ["a", "b", "c"])
     pd.testing.assert_series_equal(r1, r2)
+    # the LED digit constraint: several branch groups per batch, most of
+    # whose searches end capped
+    cols = LED_COLS + IRRELEVANT_COLS
+    c = grouped_constraint(led_window_pdf(0, n=3000, seed=0), "digit", cols)
+    sdf = spark.createDataFrame(led_window_pdf(5, n=200, seed=0))
+    r1 = responsibilities(sdf.repartition(8), c, cols)
+    r2 = responsibilities(sdf.coalesce(1), c, cols)
+    pd.testing.assert_series_equal(r1, r2)
+
+
+def _atoms(weights, lb, ub, fix, const=0.0, alpha=None, coef=None) -> extune._Atoms:
+    weights = np.asarray(weights, dtype=np.float64)
+    k = len(weights)
+    return extune._Atoms(
+        weights=weights,
+        lb=np.asarray(lb, dtype=np.float64),
+        ub=np.asarray(ub, dtype=np.float64),
+        alpha=np.ones(k) if alpha is None else alpha,
+        coef=np.ones(k) if coef is None else coef,
+        const=const,
+        fix_values=np.asarray(fix, dtype=np.float64),
+    )
+
+
+def test_stuck_search_capped_whatever_its_batch_mates():
+    """A search with no attribute left to fix that still violates never
+    reached conformance: it is capped even when other searches of the batch
+    can still move.  Fixing x0 of A = (5, 3) leaves x0 + x1 = 3.5 outside
+    [0, 1], and x1 already sits at its target."""
+    a = _atoms([[1.0, 1.0]], lb=[0.0], ub=[1.0], fix=[0.5, 3.0])
+    alone = extune._greedy_group(a, np.array([[5.0, 3.0]]), extune._EPS, 4)
+    paired = extune._greedy_group(a, np.array([[5.0, 3.0], [5.0, -9.0]]), extune._EPS, 4)
+    np.testing.assert_array_equal(alone[0], [0.2, 0.2])
+    np.testing.assert_array_equal(paired[0], alone[0])
+
+
+def _random_case(g: np.random.Generator) -> tuple[extune._Atoms, np.ndarray, float, int]:
+    m, k, b = (int(v) for v in g.integers(1, 9, size=3))
+    weights = g.normal(size=(k, m)) * (g.random((k, m)) < 0.7)
+    mean = g.normal(size=k)
+    std = np.abs(g.normal(size=k)) + 0.05
+    width = g.uniform(1.0, 4.0)
+    a = _atoms(
+        weights,
+        lb=mean - width * std,
+        ub=mean + width * std,
+        fix=g.normal(size=m),
+        const=float(g.choice([0.0, 0.0, 0.1])),
+        alpha=1.0 / std,
+        coef=g.random(k) / k,
+    )
+    x = a.fix_values + g.normal(size=(b, m)) * g.uniform(0.5, 3.0)
+    x = np.where(g.random((b, m)) < 0.25, a.fix_values, x)  # some already at target
+    return a, x, float(g.choice([1e-9, 1e-3, 0.05])), int(g.integers(1, 6))
+
+
+@pytest.mark.parametrize("budget", [extune._MAX_CANDIDATES, 7])
+def test_greedy_search_matches_reference(monkeypatch, budget):
+    """The array program returns exactly what the one-search-at-a-time loop
+    returns, also when the searches of a group are split into chunks."""
+    monkeypatch.setattr(extune, "_MAX_CANDIDATES", budget)
+    g = np.random.default_rng(2024)
+    partial = 0
+    for _ in range(400):
+        a, x, eps, max_steps = _random_case(g)
+        want = greedy_group_reference(a, x, eps, max_steps)
+        np.testing.assert_array_equal(extune._greedy_group(a, x, eps, max_steps), want)
+        partial += bool(((want > 1.0 / (max_steps + 1)) & (want < 1.0)).any())
+    assert partial > 40  # many searches resolve after some, not all, steps
+
+
+def test_led_batch_matches_reference(monkeypatch):
+    """A whole batch (ten digit branches, m = 24) equals the reference."""
+    cols = LED_COLS + IRRELEVANT_COLS
+    c = grouped_constraint(led_window_pdf(0, n=3000, seed=0), "digit", cols)
+    batch = led_window_pdf(7, n=120, seed=0)
+    means = extune._global_means(c, cols)
+
+    def run() -> np.ndarray:
+        atoms = extune._flattener(c, cols, ["digit"], means)
+        return extune._batch_responsibilities(
+            batch, atoms, cols, {"digit": LongType()}, extune._EPS, 8
+        )
+
+    got = run()
+    monkeypatch.setattr(extune, "_greedy_group", greedy_group_reference)
+    np.testing.assert_array_equal(got, run())
+    assert got.any()
+
+
+def test_integer_switch_with_nulls_finds_its_branches(spark):
+    """A bigint switch holding nulls reaches pandas as float64; its tuples
+    must still find the branches "0", "1", ... of a constraint learned where
+    the column had no nulls."""
+    pdf = piecewise_pdf(n_per=100, seed=13)
+    pdf["k"] = pdf.pop("grp").str[1:].astype(int).astype(object)
+    pdf.loc[::7, "k"] = None
+    df = spark.createDataFrame(pdf, "x double, y double, k bigint")
+    c = discover(
+        df.where("k IS NOT NULL"), cols=["x", "y"], partition_attrs=["k"], include_global=False
+    )
+    assert set(c.parts[0].branches) == {"0", "1", "2"}
+    r = responsibilities(df.coalesce(1), c, ["x", "y"])
+    # only the null-switch rows (1 in 7) violate, each capped at 1/9
+    assert (r < 0.03).all()

@@ -68,7 +68,7 @@ def _pdf(seed: int, n: int = 200) -> pd.DataFrame:
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
-def test_catalyst_matches_numpy(spark, seed):
+def test_pandas_engine_matches_numpy(spark, seed):
     c = _random_simple(seed)
     pdf = _pdf(seed + 50)
     got = score(spark.createDataFrame(pdf), c).toPandas()
@@ -77,9 +77,10 @@ def test_catalyst_matches_numpy(spark, seed):
 
 
 @pytest.mark.parametrize("seed", [0, 1])
-def test_catalyst_matches_duckdb_oracle_simple(spark, seed):
+def test_pandas_engine_matches_duckdb_oracle_simple(spark, seed):
     """The SQL mirror of the violation expression, evaluated by DuckDB, must
-    equal the Catalyst evaluation — catches any drift between the two."""
+    equal the default (pandas) engine's scores — catches any drift between
+    the two."""
     c = _random_simple(seed)
     pdf = _pdf(seed + 80, n=150)
     got = score(spark.createDataFrame(pdf), c).select("a", "b", "violation")
@@ -90,7 +91,7 @@ def test_catalyst_matches_duckdb_oracle_simple(spark, seed):
     )
 
 
-def test_catalyst_matches_duckdb_oracle_compound(spark):
+def test_pandas_engine_matches_duckdb_oracle_compound(spark):
     branches = {"u": _random_simple(10), "v": _random_simple(11)}
     c = CompoundConstraint(
         parts=(
@@ -290,3 +291,22 @@ def test_engines_agree_on_boolean_switch(spark):
     )
     assert average_violation(df, c, engine="catalyst") < 0.02
     assert average_violation(df, c, engine="pandas") < 0.02
+
+
+def test_engines_agree_on_integer_switch_with_nulls(spark):
+    """A bigint switch holding nulls reaches pandas as float64.  Its branch
+    keys must still be "0", "1", ..., as CAST(... AS STRING) gives, so the
+    pandas kernel and the Catalyst expression pick the same branch; the null
+    rows belong to no branch and score 1 on the disjunctive part in both."""
+    pdf = piecewise_pdf(n_per=134, seed=31).head(400)
+    pdf["k"] = pdf.pop("grp").str[1:].astype(int).astype(object)
+    pdf.loc[::7, "k"] = None
+    df = spark.createDataFrame(pdf, "x double, y double, k bigint")
+    c = discover(df, cols=["x", "y"], partition_attrs=["k"])
+    assert set(c.parts[1].branches) == {"0", "1", "2"}
+    pandas_v = score(df, c, engine="pandas").toPandas().sort_values(["x", "y"])
+    catalyst_v = score(df, c, engine="catalyst").toPandas().sort_values(["x", "y"])
+    np.testing.assert_allclose(pandas_v["violation"], catalyst_v["violation"], rtol=1e-9)
+    nulls = pdf["k"].isna().mean()
+    for engine in ("pandas", "catalyst"):
+        assert average_violation(df, c, engine=engine) == pytest.approx(nulls / 2, abs=0.01)
