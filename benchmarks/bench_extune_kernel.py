@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from pyspark.sql.types import LongType
 
+from repro.core.scoring import compile_constraint
 from repro.datasets.led import IRRELEVANT_COLS, LED_COLS, led_window_pdf
 from repro.explain import extune
 from tests.helpers import greedy_group_reference, grouped_constraint
@@ -26,12 +27,12 @@ def test_bench_extune_kernel(benchmark, monkeypatch, n):
     train = led_window_pdf(0, n=10_000, windows_per_phase=1, seed=0)
     constraint = grouped_constraint(train, "digit", COLS)
     batch = led_window_pdf(1, n=n, windows_per_phase=1, seed=0)
-    means = extune._global_means(constraint, COLS)
+    table = compile_constraint(constraint, COLS)
 
     def run() -> np.ndarray:
-        atoms = extune._flattener(constraint, COLS, ["digit"], means)
+        group = extune._grouper(table, np.zeros(len(COLS)))
         return extune._batch_responsibilities(
-            batch, atoms, COLS, {"digit": LongType()}, extune._EPS, 8
+            batch, group, COLS, {"digit": LongType()}, extune._EPS, 8
         )
 
     got = benchmark.pedantic(run, rounds=5, iterations=1)

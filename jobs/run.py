@@ -1,18 +1,23 @@
-"""Shared spark-submit plumbing for the per-table jobs.
+"""Run one paper table and print it.
 
-Each ``jobs/figN_*.py`` wraps one ``repro.experiments.*.run`` function:
-it builds (or reuses) a local SparkSession configured like ``conftest.py``
-and prints the resulting table(s).  Usage: ``spark-submit jobs/<name>.py``
-or plain ``python jobs/<name>.py``.
+    python jobs/run.py <figure>            # or: spark-submit jobs/run.py <figure>
+
+``<figure>`` names a ``repro.experiments`` module (``fig3_airlines``,
+``fig10_explain``, ...); its ``run(spark)`` result is printed.  The local
+SparkSession is configured like ``conftest.py``'s.
 """
 from __future__ import annotations
 
+import importlib
 import os
+import pkgutil
 import sys
 
 import pandas as pd
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), ".."))
+
+from repro import experiments  # noqa: E402
 
 
 def get_spark():
@@ -41,3 +46,15 @@ def emit(title: str, result) -> None:
     else:
         print(f"\n=== {title} ===")
         print(result.to_string(index=False))
+
+
+def main(argv: list[str]) -> None:
+    figures = sorted(m.name for m in pkgutil.iter_modules(experiments.__path__))
+    if len(argv) != 1 or argv[0] not in figures:
+        raise SystemExit(f"usage: {sys.argv[0]} <figure>, one of: {', '.join(figures)}")
+    module = importlib.import_module(f"repro.experiments.{argv[0]}")
+    emit(argv[0], module.run(get_spark()))
+
+
+if __name__ == "__main__":
+    main(sys.argv[1:])

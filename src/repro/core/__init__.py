@@ -4,7 +4,8 @@ Pipeline: ``gram`` (one-pass distributed second moments, global and grouped) -> 
 (Algorithm 1: eigenvectors of the augmented Gram matrix) -> ``constraints``
 (the language of Section 3.1) -> ``discovery`` (simple / disjunctive /
 compound synthesis, Section 4) -> ``scoring`` (quantitative semantics of
-Section 3.2 as Catalyst expressions).
+Section 3.2: a constraint compiled once into an atom table, from which the
+default numpy kernel, the DuckDB SQL text and the Catalyst column derive).
 """
 from repro.core.constraints import (
     BoundedProjection,

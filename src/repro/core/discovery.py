@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from typing import Sequence
 
-import numpy as np
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as Fn
 from pyspark.sql.types import (
@@ -206,12 +205,3 @@ def discover(
         )
     return CompoundConstraint(parts=tuple(parts))
 
-
-def equality_projection_weights(
-    constraint: SimpleConstraint, tol: float = 1e-9
-) -> list[np.ndarray]:
-    """Weights of equality invariants F(A⃗)=mean with sigma <= tol (§5.4)."""
-    return [
-        np.asarray(b.weights, dtype=np.float64)
-        for b in constraint.equality_conjuncts(tol)
-    ]

@@ -6,92 +6,199 @@
     [[AND(psi_1..psi_J)]](t)  = mean_j [[psi_j]](t)
 
 with eta(z) = 1 - e^{-z} and alpha = 1/sigma(F(D)) (floored, see
-``constraints.EPS_STD``).  Three interchangeable evaluators:
+``constraints.EPS_STD``).  An atom whose projection is null or NaN scores
+eta = 1: the constraint cannot vouch for the tuple, as for a null switch value.
 
-* ``violation_col``  — a pure Catalyst ``Column`` (no UDF): scoring runs
-  entirely inside Tungsten, scales out with the data, and is the evaluator
-  every experiment uses;
-* ``violation_sql``  — the *same* expression as SQL text, so the DuckDB
-  oracle can independently evaluate it and the tests can diff the two;
-* ``violation_numpy`` — a vectorized reference used by ExTuNe's greedy
-  intervention search and by the theory tests.
+``compile_constraint`` turns a constraint, once and on the driver, into an
+``AtomTable`` of dense atom arrays, and every evaluator derives from it:
+
+* ``violation_numpy`` — the numpy scorer behind ``score`` and
+  ``average_violation`` with the default ``engine="pandas"`` (Arrow batches
+  inside ``mapInPandas``).  Its kernel ``eta_sum`` also scores ExTuNe's
+  interventions;
+* ``violation_sql`` — the table as SQL text, which the DuckDB oracle runs;
+* ``violation_col`` — the same text in Spark's dialect, as a Catalyst column
+  (``engine="catalyst"`` and ``tml.flag_non_conforming``), so the oracle
+  checks the expression Spark runs.
 """
 from __future__ import annotations
 
-from functools import reduce
-from typing import Mapping
+from dataclasses import dataclass
+from typing import Mapping, Sequence
 
 import numpy as np
 import pandas as pd
 from pyspark.sql import Column, DataFrame
 from pyspark.sql import functions as Fn
-from pyspark.sql.types import DataType
+from pyspark.sql.types import DataType, DoubleType, StructField, StructType
 
 from repro.core.constraints import (
-    BoundedProjection,
     CompoundConstraint,
     Constraint,
     DisjunctiveConstraint,
-    EPS_STD,
     SimpleConstraint,
     branch_keys,
 )
 
-# ---------------------------------------------------------------------------
-# Catalyst evaluator
-# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Block:
+    """The atoms of one simple constraint over its table's ``cols``.
+
+    Atom k is ``lb[k] <= weights[k] @ t <= ub[k]`` (``weights`` is (K, m));
+    ``coef[k]`` is its gamma times the table's part weight.  ``col_means``
+    are the training means of ``cols`` the constraint records, or None.
+    """
+
+    weights: np.ndarray
+    lb: np.ndarray
+    ub: np.ndarray
+    alpha: np.ndarray
+    coef: np.ndarray
+    col_means: np.ndarray | None = None
 
 
-def _projection_col(b: BoundedProjection) -> Column:
-    terms = [Fn.col(c) * Fn.lit(w) for c, w in zip(b.cols, b.weights)]
-    return reduce(lambda a, x: a + x, terms)
+@dataclass(frozen=True)
+class AtomTable:
+    """A constraint compiled for evaluation, over numeric ``cols``.
+
+    Each part of the outer conjunction is ``(attr, blocks)``: a simple part
+    has ``attr`` None and its one block under key None; a disjunctive part
+    has one block per branch key of its switch ``attr``.  A tuple whose key
+    has no block scores ``weight`` (1/|parts|) on the part.
+    """
+
+    cols: tuple[str, ...]
+    weight: float
+    parts: tuple[tuple[str | None, dict[str | None, Block]], ...]
+
+    @property
+    def switch(self) -> tuple[str, ...]:
+        """The switch attributes of the disjunctive parts."""
+        return tuple(dict.fromkeys(attr for attr, _ in self.parts if attr is not None))
+
+    def violation(
+        self, pdf: pd.DataFrame, types: Mapping[str, DataType] | None = None
+    ) -> np.ndarray:
+        """[[c]](t) for every row of ``pdf``.
+
+        ``types`` maps column names to their Spark types when ``pdf`` is a
+        batch of a Spark DataFrame; switch attributes are keyed with them.
+        """
+        x = pdf[list(self.cols)].to_numpy(dtype=np.float64)
+        out = np.zeros(len(pdf))
+        for attr, blocks in self.parts:
+            if attr is None:
+                out += eta_sum(blocks[None], x @ blocks[None].weights.T)
+                continue
+            v = np.full(len(pdf), self.weight)
+            keys = branch_keys(pdf[attr], (types or {}).get(attr))
+            branch = pd.Index(list(blocks)).get_indexer(keys)
+            for j, b in enumerate(blocks.values()):
+                rows = np.flatnonzero(branch == j)
+                if len(rows):
+                    v[rows] = eta_sum(b, x[rows] @ b.weights.T)
+            out += v
+        return out
 
 
-def _atom_col(b: BoundedProjection) -> Column:
-    f = _projection_col(b)
-    dev = Fn.greatest(Fn.lit(0.0), f - Fn.lit(b.ub), Fn.lit(b.lb) - f)
-    return Fn.lit(1.0) - Fn.exp(-Fn.lit(b.alpha) * dev)
+def compile_constraint(c: Constraint, cols: Sequence[str] | None = None) -> AtomTable:
+    """``c`` as an ``AtomTable`` over ``cols``; by default every column its
+    atoms read, in the order they first appear."""
+    if not isinstance(c, (SimpleConstraint, DisjunctiveConstraint, CompoundConstraint)):
+        raise TypeError(f"not a constraint: {type(c)!r}")
+    parts = c.parts if isinstance(c, CompoundConstraint) else (c,)
+    switched = [
+        (p.attr, p.branches) if isinstance(p, DisjunctiveConstraint) else (None, {None: p})
+        for p in parts
+    ]
+    if cols is None:
+        cols = [n for _, br in switched for s in br.values() for b in s.conjuncts for n in b.cols]
+    cols = tuple(dict.fromkeys(cols))
+    idx = {name: i for i, name in enumerate(cols)}
+    weight = 1.0 / len(parts) if parts else 1.0
+
+    def block(s: SimpleConstraint) -> Block:
+        if not isinstance(s, SimpleConstraint):
+            raise TypeError(f"not a simple constraint: {type(s)!r}")
+        w = np.zeros((len(s.conjuncts), len(cols)))
+        for k, b in enumerate(s.conjuncts):
+            w[k, [idx[n] for n in b.cols]] = b.weights
+        atoms = np.array([(b.lb, b.ub, b.alpha, b.gamma * weight) for b in s.conjuncts])
+        lb, ub, alpha, coef = atoms.reshape(-1, 4).T.copy()
+        means = np.asarray(s.col_means, dtype=np.float64)
+        return Block(w, lb, ub, alpha, coef, means if len(means) == len(cols) else None)
+
+    blocks = tuple((attr, {k: block(s) for k, s in br.items()}) for attr, br in switched)
+    return AtomTable(cols=cols, weight=weight, parts=blocks)
+
+
+def eta_sum(b: Block, p: np.ndarray) -> np.ndarray:
+    """sum_k coef[k] * eta(alpha[k] * deviation of p[..., k] from [lb[k], ub[k]])
+    for projection values ``p`` (..., K); a NaN projection scores eta = 1."""
+    t = p - b.ub  # one buffer, updated in place: the same roundings, fewer allocations
+    np.maximum(t, b.lb - p, out=t)
+    np.maximum(t, 0.0, out=t)
+    t *= -b.alpha
+    np.exp(t, out=t)
+    np.subtract(1.0, t, out=t)
+    t[np.isnan(t)] = 1.0
+    t *= b.coef
+    return t.sum(axis=-1)
+
+
+def violation_numpy(
+    c: Constraint, pdf: pd.DataFrame, types: Mapping[str, DataType] | None = None
+) -> np.ndarray:
+    """[[c]](t) for every row of a pandas frame (see ``AtomTable.violation``)."""
+    return compile_constraint(c).violation(pdf, types)
+
+
+def _quote(s: str, q: str) -> str:
+    return q + s.replace(q, q + q) + q
+
+
+def _sql(t: AtomTable, spark: bool) -> str:
+    """[[c]] as SQL text in Spark's dialect or DuckDB's: they quote
+    identifiers differently, and Spark reads a backslash in a string
+    literal as an escape."""
+
+    def ident(name: str) -> str:
+        return _quote(name, "`" if spark else '"')
+
+    def string(s: str) -> str:
+        return _quote(s.replace("\\", "\\\\") if spark else s, "'")
+
+    def atom(w, lb, ub, alpha, coef) -> str:
+        f = " + ".join(f"({ident(c)} * {float(wi)!r})" for c, wi in zip(t.cols, w))
+        f = f"coalesce({f}, CAST('NaN' AS DOUBLE))"  # null, like NaN, fails every bound
+        dev = f"greatest(0.0, {f} - {float(ub)!r}, {float(lb)!r} - {f})"
+        dev = f"least({dev}, CAST('Infinity' AS DOUBLE))"  # NaN sorts above infinity
+        return f"({float(coef)!r} * (1.0 - exp(-({float(alpha)!r}) * {dev})))"
+
+    def block(b: Block) -> str:
+        atoms = map(atom, b.weights, b.lb, b.ub, b.alpha, b.coef)
+        return "(" + " + ".join(atoms) + ")" if len(b.weights) else "0.0"
+
+    terms = []
+    for attr, blocks in t.parts:
+        if attr is None:
+            terms.append(block(blocks[None]))
+            continue
+        key = f"CAST({ident(attr)} AS STRING)"
+        whens = "".join(f"WHEN {key} = {string(k)} THEN {block(b)} " for k, b in blocks.items())
+        terms.append(f"(CASE {whens}ELSE {t.weight!r} END)")
+    return "(" + " + ".join(terms) + ")" if terms else "0.0"
+
+
+def violation_sql(c: Constraint) -> str:
+    """[[c]] as DuckDB SQL text (the oracle's side of the engine checks)."""
+    return _sql(compile_constraint(c), spark=False)
 
 
 def violation_col(c: Constraint) -> Column:
-    """The violation score [[c]](t) as a Catalyst column expression."""
-    if isinstance(c, SimpleConstraint):
-        if not c.conjuncts:
-            return Fn.lit(0.0)
-        terms = [Fn.lit(b.gamma) * _atom_col(b) for b in c.conjuncts]
-        return reduce(lambda a, x: a + x, terms)
-    if isinstance(c, DisjunctiveConstraint):
-        expr: Column | None = None
-        attr_s = Fn.col(c.attr).cast("string")
-        for v, branch in c.branches.items():
-            cond = attr_s == Fn.lit(v)
-            expr = Fn.when(cond, violation_col(branch)) if expr is None else expr.when(
-                cond, violation_col(branch)
-            )
-        return Fn.lit(1.0) if expr is None else expr.otherwise(Fn.lit(1.0))
-    if isinstance(c, CompoundConstraint):
-        if not c.parts:
-            return Fn.lit(0.0)
-        total = reduce(lambda a, x: a + x, [violation_col(p) for p in c.parts])
-        return total / Fn.lit(float(len(c.parts)))
-    raise TypeError(f"not a constraint: {type(c)!r}")
-
-
-def constraint_columns(c: Constraint) -> list[str]:
-    """All input columns a constraint reads (projection cols + switch attrs)."""
-    if isinstance(c, SimpleConstraint):
-        return list(c.cols)
-    if isinstance(c, DisjunctiveConstraint):
-        out: list[str] = [c.attr]
-        for branch in c.branches.values():
-            out.extend(constraint_columns(branch))
-        return list(dict.fromkeys(out))
-    if isinstance(c, CompoundConstraint):
-        out = []
-        for p in c.parts:
-            out.extend(constraint_columns(p))
-        return list(dict.fromkeys(out))
-    raise TypeError(f"not a constraint: {type(c)!r}")
+    """[[c]] as a Catalyst column: ``violation_sql``'s walk in Spark's dialect."""
+    return Fn.expr(_sql(compile_constraint(c), spark=True)).cast("double")
 
 
 def _types(df: DataFrame) -> dict[str, DataType]:
@@ -108,22 +215,21 @@ def score(
     compound constraints (hundreds of atoms over dozens of attributes) this
     is ~100x faster than the Catalyst expression, whose generated code blows
     the JVM's 64 KB method limit and falls back to interpreted evaluation.
-    ``engine="catalyst"`` uses the pure expression (kept for the DuckDB
-    oracle cross-checks and as the no-Python-worker path).
+    ``engine="catalyst"`` uses the expression (kept for the DuckDB oracle
+    cross-checks and as the no-Python-worker path).
     """
     if engine == "catalyst":
         return df.withColumn(col_name, violation_col(c))
     if engine != "pandas":
         raise ValueError(f"unknown engine {engine!r}")
-    from pyspark.sql.types import DoubleType, StructField, StructType
-
+    table = compile_constraint(c)
     out_schema = StructType(df.schema.fields + [StructField(col_name, DoubleType())])
     types = _types(df)
 
     def fn(batches):
         for pdf in batches:
             pdf = pdf.copy()
-            pdf[col_name] = violation_numpy(c, pdf, types)
+            pdf[col_name] = table.violation(pdf, types)
             yield pdf
 
     return df.mapInPandas(fn, schema=out_schema)
@@ -136,106 +242,19 @@ def average_violation(df: DataFrame, c: Constraint, engine: str = "pandas") -> f
         return float(row["v"]) if row["v"] is not None else 0.0
     if engine != "pandas":
         raise ValueError(f"unknown engine {engine!r}")
-    cols = constraint_columns(c)
+    table = compile_constraint(c)
     types = _types(df)
 
     def fn(batches):
         total = 0.0
         n = 0
         for pdf in batches:
-            v = violation_numpy(c, pdf, types)
+            v = table.violation(pdf, types)
             total += float(v.sum())
             n += len(v)
         yield pd.DataFrame({"total": [total], "n": [n]})
 
-    partials = df.select(*cols).mapInPandas(fn, schema="total double, n long").collect()
+    needed = list(dict.fromkeys([*table.switch, *table.cols]))
+    partials = df.select(*needed).mapInPandas(fn, schema="total double, n long").collect()
     n = sum(r["n"] for r in partials)
     return sum(r["total"] for r in partials) / n if n else 0.0
-
-
-# ---------------------------------------------------------------------------
-# SQL mirror (for the DuckDB oracle)
-# ---------------------------------------------------------------------------
-
-
-def _q(ident: str) -> str:
-    return '"' + ident.replace('"', '""') + '"'
-
-
-def _projection_sql(b: BoundedProjection) -> str:
-    return " + ".join(f"({_q(c)} * {w!r})" for c, w in zip(b.cols, b.weights))
-
-
-def _atom_sql(b: BoundedProjection) -> str:
-    f = f"({_projection_sql(b)})"
-    dev = f"greatest(0.0, {f} - {b.ub!r}, {b.lb!r} - {f})"
-    return f"(1.0 - exp(-({b.alpha!r}) * {dev}))"
-
-
-def violation_sql(c: Constraint) -> str:
-    """The same violation expression as SQL text (DuckDB + Spark compatible)."""
-    if isinstance(c, SimpleConstraint):
-        if not c.conjuncts:
-            return "0.0"
-        return "(" + " + ".join(f"({b.gamma!r} * {_atom_sql(b)})" for b in c.conjuncts) + ")"
-    if isinstance(c, DisjunctiveConstraint):
-        if not c.branches:
-            return "1.0"
-        whens = " ".join(
-            "WHEN CAST({a} AS VARCHAR) = '{v}' THEN {s}".format(
-                a=_q(c.attr), v=v.replace("'", "''"), s=violation_sql(s)
-            )
-            for v, s in c.branches.items()
-        )
-        return f"(CASE {whens} ELSE 1.0 END)"
-    if isinstance(c, CompoundConstraint):
-        if not c.parts:
-            return "0.0"
-        total = " + ".join(violation_sql(p) for p in c.parts)
-        return f"(({total}) / {float(len(c.parts))!r})"
-    raise TypeError(f"not a constraint: {type(c)!r}")
-
-
-# ---------------------------------------------------------------------------
-# numpy reference evaluator
-# ---------------------------------------------------------------------------
-
-
-def _atom_numpy(b: BoundedProjection, pdf: pd.DataFrame) -> np.ndarray:
-    x = pdf[list(b.cols)].to_numpy(dtype=np.float64)
-    f = x @ np.asarray(b.weights, dtype=np.float64)
-    dev = np.maximum(0.0, np.maximum(f - b.ub, b.lb - f))
-    return 1.0 - np.exp(-b.alpha * dev)
-
-
-def violation_numpy(
-    c: Constraint, pdf: pd.DataFrame, types: Mapping[str, DataType] | None = None
-) -> np.ndarray:
-    """Vectorized reference implementation of [[c]] over a pandas frame.
-
-    ``types`` maps column names to their Spark types when ``pdf`` is a batch
-    of a Spark DataFrame; switch attributes are keyed with them.
-    """
-    n = len(pdf)
-    if isinstance(c, SimpleConstraint):
-        out = np.zeros(n, dtype=np.float64)
-        for b in c.conjuncts:
-            out += b.gamma * _atom_numpy(b, pdf)
-        return out
-    if isinstance(c, DisjunctiveConstraint):
-        out = np.ones(n, dtype=np.float64)
-        keys = branch_keys(pdf[c.attr], (types or {}).get(c.attr))
-        for v, branch in c.branches.items():
-            mask = keys == v
-            if mask.any():
-                out[mask] = violation_numpy(branch, pdf.loc[mask])
-        return out
-    if isinstance(c, CompoundConstraint):
-        if not c.parts:
-            return np.zeros(n, dtype=np.float64)
-        out = np.zeros(n, dtype=np.float64)
-        for p in c.parts:
-            out += violation_numpy(p, pdf, types)
-        return out / float(len(c.parts))
-    raise TypeError(f"not a constraint: {type(c)!r}")
-

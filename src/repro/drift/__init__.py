@@ -11,11 +11,11 @@ components and compare per-component histogram densities between the
 reference and the new window, via max KL divergence (CD-MKL) or
 intersection area (CD-Area).
 
-``wpca`` — the weighted-PCA global baseline of Figure 5b: exactly DISYNTH's
-*simple* (global, non-disjunctive) constraint.
+W-PCA, the weighted-PCA global baseline of Figure 5b, is exactly DISYNTH's
+*simple* (global, non-disjunctive) constraint: ``core.discover_simple``
+scored with ``core.average_violation``.
 """
 from repro.drift.cd import CDModel, fit_cd
 from repro.drift.pca_spll import SPLLModel, fit_pca_spll
-from repro.drift.wpca import fit_wpca, wpca_drift
 
-__all__ = ["SPLLModel", "fit_pca_spll", "CDModel", "fit_cd", "fit_wpca", "wpca_drift"]
+__all__ = ["SPLLModel", "fit_pca_spll", "CDModel", "fit_cd"]

@@ -12,10 +12,12 @@ For a non-conforming tuple t and attribute A_i:
 3. responsibility(A_i) = 1 / (K + 1); tuples that already conform get 0.
 
 Per-tuple responsibilities are averaged over the test set.  The search runs
-distributed via ``mapInPandas``; inside a batch the constraint is flattened
-into projection space (once per distinct branch combination and Spark task),
-so an intervention is a rank-1 update of the projection values — no
-per-candidate re-evaluation of the whole constraint.
+distributed via ``mapInPandas`` on the constraint's ``AtomTable``
+(``core.scoring``): the blocks a branch combination meets are concatenated
+once per Spark task, so an intervention is a rank-1 update of the projection
+values — no per-candidate re-evaluation of the whole constraint.  A tuple
+with a null or NaN feature never conforms (its atoms score eta = 1), so its
+searches are capped.
 
 All B x m searches of a branch group (violating tuple x first-fixed
 attribute) run together as one array program: a round scores every
@@ -27,7 +29,6 @@ tuple's responsibilities never depend on the other tuples of its batch.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from typing import Callable, Iterator, Mapping, Sequence
 
@@ -36,13 +37,8 @@ import pandas as pd
 from pyspark.sql import DataFrame
 from pyspark.sql.types import DataType
 
-from repro.core.constraints import (
-    CompoundConstraint,
-    Constraint,
-    DisjunctiveConstraint,
-    SimpleConstraint,
-    branch_keys,
-)
+from repro.core.constraints import Constraint, branch_keys
+from repro.core.scoring import AtomTable, Block, compile_constraint, eta_sum
 
 _EPS = 1e-9
 #: Most candidate projection values (searches x m x K) one round of the
@@ -51,99 +47,8 @@ _EPS = 1e-9
 _MAX_CANDIDATES = 1 << 16
 
 
-@dataclass
-class _Atoms:
-    """Flattened bounded-projection atoms applicable to one tuple group.
-
-    ``weights`` is (K, m) over the ``cols`` order; ``coef`` folds each atom's
-    gamma and its part's 1/|parts| factor; ``const`` collects contributions
-    that no numerical intervention can remove (unseen disjunctive branches).
-    """
-
-    weights: np.ndarray
-    lb: np.ndarray
-    ub: np.ndarray
-    alpha: np.ndarray
-    coef: np.ndarray
-    const: float
-    fix_values: np.ndarray  # (m,) intervention targets for this group
-
-
-def _simple_arrays(c: SimpleConstraint, cols: Sequence[str], part_coef: float):
-    idx = {name: i for i, name in enumerate(cols)}
-    rows, lb, ub, alpha, coef = [], [], [], [], []
-    for b in c.conjuncts:
-        w = np.zeros(len(cols))
-        for name, wi in zip(b.cols, b.weights):
-            w[idx[name]] = wi
-        rows.append(w)
-        lb.append(b.lb)
-        ub.append(b.ub)
-        alpha.append(b.alpha)
-        coef.append(b.gamma * part_coef)
-    return rows, lb, ub, alpha, coef
-
-
-def _flatten(
-    constraint: Constraint,
-    cols: Sequence[str],
-    branch_values: dict[str, str],
-    global_means: np.ndarray,
-) -> _Atoms:
-    """Flatten ``constraint`` for the tuple group whose disjunctive switch
-    attributes take ``branch_values`` (attr -> ``branch_key`` of the value)."""
-    parts: tuple[Constraint, ...]
-    if isinstance(constraint, CompoundConstraint):
-        parts = constraint.parts
-    else:
-        parts = (constraint,)
-    part_coef = 1.0 / len(parts) if parts else 1.0
-    rows, lb, ub, alpha, coef = [], [], [], [], []
-    const = 0.0
-    fix = np.asarray(global_means, dtype=np.float64).copy()
-    fix_set = False
-    for p in parts:
-        if isinstance(p, SimpleConstraint):
-            r = _simple_arrays(p, cols, part_coef)
-        elif isinstance(p, DisjunctiveConstraint):
-            branch = p.branches.get(branch_values.get(p.attr, ""))
-            if branch is None:
-                const += part_coef  # unseen value: permanently violated part
-                continue
-            r = _simple_arrays(branch, cols, part_coef)
-            if not fix_set and len(branch.col_means) == len(cols):
-                # partition-conditional intervention targets (first match wins)
-                fix = np.asarray(branch.col_means, dtype=np.float64)
-                fix_set = True
-        else:
-            raise TypeError(f"cannot flatten {type(p)!r}")
-        rows.extend(r[0]); lb.extend(r[1]); ub.extend(r[2]); alpha.extend(r[3]); coef.extend(r[4])
-    k = len(rows)
-    return _Atoms(
-        weights=np.asarray(rows) if k else np.zeros((0, len(cols))),
-        lb=np.asarray(lb),
-        ub=np.asarray(ub),
-        alpha=np.asarray(alpha),
-        coef=np.asarray(coef),
-        const=const,
-        fix_values=fix,
-    )
-
-
-def _violation_from_projections(a: _Atoms, p: np.ndarray) -> np.ndarray:
-    """Violation for projection values ``p`` (..., K), reduced over the last axis."""
-    t = p - a.ub  # one buffer, updated in place: the same roundings, fewer allocations
-    np.maximum(t, a.lb - p, out=t)
-    np.maximum(t, 0.0, out=t)
-    t *= -a.alpha
-    np.exp(t, out=t)
-    np.subtract(1.0, t, out=t)
-    t *= a.coef
-    return t.sum(axis=-1) + a.const
-
-
 def _extra_fixes(
-    a: _Atoms, p: np.ndarray, d: np.ndarray, eps: float, max_steps: int
+    a: Block, const: float, p: np.ndarray, d: np.ndarray, eps: float, max_steps: int
 ) -> np.ndarray:
     """How many more attributes each of R searches fixes, capped at ``max_steps``.
 
@@ -154,7 +59,7 @@ def _extra_fixes(
     keeps only the searches still violating.
     """
     k = np.full(len(p), float(max_steps))
-    unresolved = _violation_from_projections(a, p) > eps
+    unresolved = eta_sum(a, p) + const > eps
     k[~unresolved] = 0.0
     ids = np.flatnonzero(unresolved)
     p, d = p[ids], d[ids]
@@ -164,7 +69,7 @@ def _extra_fixes(
             break
         cand = d[:, :, None] * wt
         cand += p[:, None, :]
-        v = _violation_from_projections(a, cand)  # (R, m)
+        v = eta_sum(a, cand) + const  # (R, m)
         v[d == 0.0] = np.inf
         j = v.argmin(axis=1)  # first minimum, as a scan over j with `<` picks
         best = v[np.arange(len(j)), j]
@@ -181,9 +86,11 @@ def _extra_fixes(
 
 
 def _greedy_group(
-    a: _Atoms, x: np.ndarray, eps: float, max_steps: int
+    a: Block, const: float, x: np.ndarray, eps: float, max_steps: int
 ) -> np.ndarray:
-    """(B, m) responsibilities for one flattened group of tuples ``x``.
+    """(B, m) responsibilities for a group of tuples ``x`` that meet the
+    atoms ``a`` and score ``const`` on the parts with no block for them;
+    ``a.col_means`` are the intervention targets.
 
     Runs one search per (violating tuple, first-fixed attribute), in chunks
     of at most ``_MAX_CANDIDATES`` candidate projection values per round.
@@ -191,12 +98,12 @@ def _greedy_group(
     b_n, m = x.shape
     resp = np.zeros((b_n, m))
     p0 = x @ a.weights.T  # (B, K)
-    active = np.flatnonzero(_violation_from_projections(a, p0) > eps)
+    active = np.flatnonzero(eta_sum(a, p0) + const > eps)
     if not len(active):
         return resp
     tuples = np.repeat(active, m)
     first = np.tile(np.arange(m), len(active))
-    delta = a.fix_values[None, :] - x  # (B, m): effect of fixing each attr
+    delta = a.col_means[None, :] - x  # (B, m): effect of fixing each attr
     chunk = max(1, _MAX_CANDIDATES // max(1, m * len(a.weights)))
     for s in range(0, len(tuples), chunk):
         t, i = tuples[s : s + chunk], first[s : s + chunk]
@@ -204,13 +111,13 @@ def _greedy_group(
         d = delta[t]
         p = p0[t] + d[r, i][:, None] * a.weights[:, i].T  # step 0: fix attribute i
         d[r, i] = 0.0
-        resp[t, i] = 1.0 / (_extra_fixes(a, p, d, eps, max_steps) + 1.0)
+        resp[t, i] = 1.0 / (_extra_fixes(a, const, p, d, eps, max_steps) + 1.0)
     return resp
 
 
 def _batch_responsibilities(
     pdf: pd.DataFrame,
-    atoms: Callable[[tuple], _Atoms],
+    group: Callable[[tuple], tuple[Block, float]],
     cols: list[str],
     switch: Mapping[str, DataType],
     eps: float,
@@ -218,62 +125,47 @@ def _batch_responsibilities(
 ) -> np.ndarray:
     """(B, m) responsibilities for one pandas batch.
 
-    ``atoms`` flattens the constraint for a tuple of branch keys, one per
+    ``group`` gives the atoms and constant of a tuple of branch keys, one per
     attribute of ``switch`` (attribute -> its Spark type).
     """
     x = pdf[cols].to_numpy(dtype=np.float64)
     if not switch:
-        return _greedy_group(atoms(()), x, eps, max_steps)
+        return _greedy_group(*group(()), x, eps, max_steps)
     out = np.zeros(x.shape)
     keys = [branch_keys(pdf[s], t) for s, t in switch.items()]
     for key, idx in pdf.groupby(keys, sort=False, dropna=False).indices.items():
         key = key if isinstance(key, tuple) else (key,)
-        out[idx] = _greedy_group(atoms(key), x[idx], eps, max_steps)
+        out[idx] = _greedy_group(*group(key), x[idx], eps, max_steps)
     return out
 
 
-def _flattener(
-    constraint: Constraint, cols: list[str], switch_attrs: list[str], global_means: np.ndarray
-) -> Callable[[tuple], _Atoms]:
-    """``_flatten`` per tuple of branch keys, memoized: each distinct
-    combination is flattened once per Spark task."""
+def _grouper(table: AtomTable, means: np.ndarray) -> Callable[[tuple], tuple[Block, float]]:
+    """The blocks that tuples with branch keys ``key`` (one per
+    ``table.switch``) meet, concatenated, and the weight of the parts with no
+    block for them; memoized, so each key tuple is built once per Spark task.
+
+    The intervention targets are the first matched branch's means, else the
+    simple part's, else ``means``.
+    """
 
     @cache
-    def atoms(key: tuple) -> _Atoms:
-        return _flatten(constraint, cols, dict(zip(switch_attrs, key)), global_means)
+    def group(key: tuple) -> tuple[Block, float]:
+        keys = dict(zip(table.switch, key))
+        blocks, const, branch_means, simple_means = [], 0.0, [], []
+        for attr, part in table.parts:
+            b = part.get(keys.get(attr))
+            if b is None:
+                const += table.weight  # unseen or null key: permanently violated part
+                continue
+            blocks.append(b)
+            (simple_means if attr is None else branch_means).append(b.col_means)
+        fix = next(m for m in [*branch_means, *simple_means, means] if m is not None)
+        empty = Block(np.zeros((0, len(table.cols))), *[np.zeros(0)] * 4)
+        fields = ("weights", "lb", "ub", "alpha", "coef")
+        stacked = {f: np.concatenate([getattr(b, f) for b in [empty, *blocks]]) for f in fields}
+        return Block(**stacked, col_means=fix), const
 
-    return atoms
-
-
-def _switch_attrs(constraint: Constraint) -> list[str]:
-    if isinstance(constraint, DisjunctiveConstraint):
-        return [constraint.attr]
-    if isinstance(constraint, CompoundConstraint):
-        return [p.attr for p in constraint.parts if isinstance(p, DisjunctiveConstraint)]
-    return []
-
-
-def _global_means(constraint: Constraint, cols: list[str]) -> np.ndarray:
-    if isinstance(constraint, SimpleConstraint) and len(constraint.col_means) == len(cols):
-        return np.asarray(constraint.col_means)
-    if isinstance(constraint, CompoundConstraint):
-        for p in constraint.parts:
-            if isinstance(p, SimpleConstraint) and len(p.col_means) == len(cols):
-                return np.asarray(p.col_means)
-        # weighted average of branch means as a fallback
-        sums, n = np.zeros(len(cols)), 0
-        for p in constraint.parts:
-            if isinstance(p, DisjunctiveConstraint):
-                for br in p.branches.values():
-                    if len(br.col_means) == len(cols) and br.n:
-                        sums += np.asarray(br.col_means) * br.n
-                        n += br.n
-                if n:
-                    return sums / n
-    raise ValueError(
-        "cannot derive intervention targets: constraint records no col_means "
-        "for the requested columns"
-    )
+    return group
 
 
 def responsibilities(
@@ -289,16 +181,19 @@ def responsibilities(
     ``mapInPandas``; only (m+1)-length partial sums reach the driver.
     """
     cols = list(cols)
-    switch = {s: df.schema[s].dataType for s in _switch_attrs(constraint)}
-    means = _global_means(constraint, cols)
+    table = compile_constraint(constraint, cols)
+    switch = {s: df.schema[s].dataType for s in table.switch}
+    recorded = [b.col_means for _, p in table.parts for b in p.values() if b.col_means is not None]
+    if not recorded:
+        raise ValueError("cannot derive intervention targets: constraint records no col_means")
     needed = list(dict.fromkeys([*switch, *cols]))
 
     def fn(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        atoms = _flattener(constraint, cols, list(switch), means)
+        group = _grouper(table, recorded[0])
         sums = np.zeros(len(cols))
         n = 0
         for pdf in batches:
-            r = _batch_responsibilities(pdf, atoms, cols, switch, eps, max_steps)
+            r = _batch_responsibilities(pdf, group, cols, switch, eps, max_steps)
             sums += r.sum(axis=0)
             n += len(pdf)
         yield pd.DataFrame({"n": [n], "sums": [sums.tolist()]})

@@ -1,11 +1,22 @@
-"""Shared helpers for the test suite: small deterministic datasets."""
+"""Shared helpers for the test suite: small deterministic datasets, and the
+reference implementations that the scorer and ExTuNe are checked against."""
 from __future__ import annotations
+
+from typing import Mapping
 
 import numpy as np
 import pandas as pd
+from pyspark.sql.types import DataType
 
-from repro.core.constraints import CompoundConstraint
-from repro.core.discovery import disjunctive_from_grams
+from repro.core.constraints import (
+    BoundedProjection,
+    CompoundConstraint,
+    Constraint,
+    DisjunctiveConstraint,
+    SimpleConstraint,
+    branch_keys,
+)
+from repro.core.discovery import disjunctive_from_grams, simple_from_gram
 from repro.core.gram import GramResult
 
 
@@ -55,23 +66,69 @@ def numpy_aug_gram(pdf: pd.DataFrame, cols: list[str]) -> tuple[int, np.ndarray]
     return len(x), xa.T @ xa
 
 
-def grouped_constraint(pdf: pd.DataFrame, attr: str, cols: list[str]) -> CompoundConstraint:
-    """``discover(df, cols, partition_attrs=[attr], include_global=False)``
-    for an integer switch ``attr``, computed with numpy instead of Spark."""
+def grouped_constraint(
+    pdf: pd.DataFrame, attr: str, cols: list[str], include_global: bool = False
+) -> CompoundConstraint:
+    """``discover(df, cols, partition_attrs=[attr], include_global=...)`` for
+    a string or integer switch ``attr``, computed with numpy instead of Spark."""
     grams = {
         str(k): GramResult(cols=tuple(cols), n=n, g=g)
         for k, part in pdf.groupby(attr)
         for n, g in [numpy_aug_gram(part, cols)]
     }
-    return CompoundConstraint(parts=(disjunctive_from_grams(attr, grams),))
+    parts = (disjunctive_from_grams(attr, grams),)
+    if include_global:
+        n, g = numpy_aug_gram(pdf, cols)
+        parts = (simple_from_gram(GramResult(cols=tuple(cols), n=n, g=g)), *parts)
+    return CompoundConstraint(parts=parts)
 
 
-def _violation_ref(a, p: np.ndarray) -> np.ndarray:
+def _atom_reference(b: BoundedProjection, pdf: pd.DataFrame) -> np.ndarray:
+    x = pdf[list(b.cols)].to_numpy(dtype=np.float64)
+    f = x @ np.asarray(b.weights, dtype=np.float64)
+    dev = np.maximum(0.0, np.maximum(f - b.ub, b.lb - f))
+    return 1.0 - np.exp(-b.alpha * dev)
+
+
+def violation_reference(
+    c: Constraint, pdf: pd.DataFrame, types: Mapping[str, DataType] | None = None
+) -> np.ndarray:
+    """Reference for ``scoring.violation_numpy``: a walk of the constraint
+    tree, one matrix-vector product per atom, for tuples without null or NaN
+    features."""
+    n = len(pdf)
+    if isinstance(c, SimpleConstraint):
+        out = np.zeros(n, dtype=np.float64)
+        for b in c.conjuncts:
+            out += b.gamma * _atom_reference(b, pdf)
+        return out
+    if isinstance(c, DisjunctiveConstraint):
+        out = np.ones(n, dtype=np.float64)
+        keys = branch_keys(pdf[c.attr], (types or {}).get(c.attr))
+        for v, branch in c.branches.items():
+            mask = keys == v
+            if mask.any():
+                out[mask] = violation_reference(branch, pdf.loc[mask])
+        return out
+    if isinstance(c, CompoundConstraint):
+        if not c.parts:
+            return np.zeros(n, dtype=np.float64)
+        out = np.zeros(n, dtype=np.float64)
+        for p in c.parts:
+            out += violation_reference(p, pdf, types)
+        return out / float(len(c.parts))
+    raise TypeError(f"not a constraint: {type(c)!r}")
+
+
+def _violation_ref(a, const: float, p: np.ndarray) -> np.ndarray:
     dev = np.maximum(0.0, np.maximum(p - a.ub, a.lb - p))
-    return (a.coef * (1.0 - np.exp(-a.alpha * dev))).sum(axis=1) + a.const
+    dev[np.isnan(dev)] = np.inf  # a NaN projection scores eta = 1
+    return (a.coef * (1.0 - np.exp(-a.alpha * dev))).sum(axis=1) + const
 
 
-def greedy_group_reference(a, x: np.ndarray, eps: float, max_steps: int) -> np.ndarray:
+def greedy_group_reference(
+    a, const: float, x: np.ndarray, eps: float, max_steps: int
+) -> np.ndarray:
     """Reference for ``extune._greedy_group``: one greedy search at a time.
 
     For every first-fixed attribute ``i``, all tuples of ``x`` advance in
@@ -83,10 +140,10 @@ def greedy_group_reference(a, x: np.ndarray, eps: float, max_steps: int) -> np.n
     b_n, m = x.shape
     resp = np.zeros((b_n, m))
     p0 = x @ a.weights.T  # (B, K)
-    active = _violation_ref(a, p0) > eps
+    active = _violation_ref(a, const, p0) > eps
     if not active.any():
         return resp
-    delta0 = a.fix_values[None, :] - x  # (B, m): effect of fixing each attr
+    delta0 = a.col_means[None, :] - x  # (B, m): effect of fixing each attr
     for i in range(m):
         # step 0: fix attribute i
         p = p0 + delta0[:, i][:, None] * a.weights[:, i][None, :]
@@ -94,7 +151,7 @@ def greedy_group_reference(a, x: np.ndarray, eps: float, max_steps: int) -> np.n
         delta[:, i] = 0.0  # already fixed
         k_extra = np.zeros(b_n)
         capped = np.zeros(b_n, dtype=bool)
-        unresolved = active & (_violation_ref(a, p) > eps)
+        unresolved = active & (_violation_ref(a, const, p) > eps)
         for _ in range(max_steps):
             if not unresolved.any():
                 break
@@ -102,7 +159,7 @@ def greedy_group_reference(a, x: np.ndarray, eps: float, max_steps: int) -> np.n
             best_j = np.full(b_n, -1, dtype=int)
             for j in range(m):
                 cand = p + delta[:, j][:, None] * a.weights[:, j][None, :]
-                vj = _violation_ref(a, cand)
+                vj = _violation_ref(a, const, cand)
                 vj = np.where(delta[:, j] == 0.0, np.inf, vj)  # already fixed
                 better = unresolved & (vj < best_v)
                 best_v[better] = vj[better]

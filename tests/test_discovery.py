@@ -20,7 +20,6 @@ from repro.core.discovery import (
     discover_disjunctive,
     discover_simple,
     eligible_partition_attrs,
-    equality_projection_weights,
     switch_candidates,
 )
 from repro.core.gram import numeric_columns
@@ -155,9 +154,9 @@ def test_equality_projection_weights(spark):
         {"a": [0.0] * 50, "b": np.random.default_rng(13).normal(0, 1, 50)}
     )
     c = discover_simple(spark.createDataFrame(pdf))
-    eq = equality_projection_weights(c, tol=1e-9)
+    eq = c.equality_conjuncts(tol=1e-9)
     assert len(eq) == 1
-    np.testing.assert_allclose(np.abs(eq[0]), [1.0, 0.0], atol=1e-9)
+    np.testing.assert_allclose(np.abs(eq[0].weights), [1.0, 0.0], atol=1e-9)
 
 
 def test_col_means_recorded(spark):

@@ -5,10 +5,11 @@ import numpy as np
 import pandas as pd
 import pytest
 
+from repro.core.discovery import discover_simple
+from repro.core.scoring import average_violation
 from repro.datasets.evl import evl_window_pdf
 from repro.drift.cd import cd_drift, fit_cd
 from repro.drift.pca_spll import fit_pca_spll, spll_drift
-from repro.drift.wpca import fit_wpca, wpca_drift
 from repro.oracle import assert_equivalent
 
 
@@ -150,18 +151,11 @@ def test_cd_rejects_unknown_method(spark):
 # ---------------------------------------------------------------------------
 
 
-def test_wpca_is_global_simple_constraint(spark):
-    from repro.core.discovery import discover_simple
-
-    pdf = _anisotropic_pdf(seed=16)
-    df = spark.createDataFrame(pdf)
-    assert fit_wpca(df, ["d0", "d1"]) == discover_simple(df, ["d0", "d1"])
-
-
 def test_wpca_drift_detects_relationship_break(spark):
+    """W-PCA is the global simple constraint, scored by average violation."""
     pdf = _anisotropic_pdf(seed=17)
-    model = fit_wpca(spark.createDataFrame(pdf), ["d0", "d1"])
+    model = discover_simple(spark.createDataFrame(pdf), ["d0", "d1"])
     broken = pdf.copy()
     broken["d1"] = broken["d1"] + 4.0
-    assert wpca_drift(spark.createDataFrame(pdf), model) < 0.02
-    assert wpca_drift(spark.createDataFrame(broken), model) > 0.2
+    assert average_violation(spark.createDataFrame(pdf), model) < 0.02
+    assert average_violation(spark.createDataFrame(broken), model) > 0.2

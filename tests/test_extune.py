@@ -7,6 +7,7 @@ import pytest
 from pyspark.sql.types import LongType
 
 from repro.core.discovery import discover, discover_simple
+from repro.core.scoring import Block, compile_constraint
 from repro.datasets.led import IRRELEVANT_COLS, LED_COLS, led_window_pdf
 from repro.explain import extune
 from repro.explain.extune import responsibilities
@@ -160,17 +161,16 @@ def test_distributed_matches_single_partition(spark):
     pd.testing.assert_series_equal(r1, r2)
 
 
-def _atoms(weights, lb, ub, fix, const=0.0, alpha=None, coef=None) -> extune._Atoms:
+def _atoms(weights, lb, ub, fix, alpha=None, coef=None) -> Block:
     weights = np.asarray(weights, dtype=np.float64)
     k = len(weights)
-    return extune._Atoms(
+    return Block(
         weights=weights,
         lb=np.asarray(lb, dtype=np.float64),
         ub=np.asarray(ub, dtype=np.float64),
         alpha=np.ones(k) if alpha is None else alpha,
         coef=np.ones(k) if coef is None else coef,
-        const=const,
-        fix_values=np.asarray(fix, dtype=np.float64),
+        col_means=np.asarray(fix, dtype=np.float64),
     )
 
 
@@ -180,13 +180,13 @@ def test_stuck_search_capped_whatever_its_batch_mates():
     can still move.  Fixing x0 of A = (5, 3) leaves x0 + x1 = 3.5 outside
     [0, 1], and x1 already sits at its target."""
     a = _atoms([[1.0, 1.0]], lb=[0.0], ub=[1.0], fix=[0.5, 3.0])
-    alone = extune._greedy_group(a, np.array([[5.0, 3.0]]), extune._EPS, 4)
-    paired = extune._greedy_group(a, np.array([[5.0, 3.0], [5.0, -9.0]]), extune._EPS, 4)
+    alone = extune._greedy_group(a, 0.0, np.array([[5.0, 3.0]]), extune._EPS, 4)
+    paired = extune._greedy_group(a, 0.0, np.array([[5.0, 3.0], [5.0, -9.0]]), extune._EPS, 4)
     np.testing.assert_array_equal(alone[0], [0.2, 0.2])
     np.testing.assert_array_equal(paired[0], alone[0])
 
 
-def _random_case(g: np.random.Generator) -> tuple[extune._Atoms, np.ndarray, float, int]:
+def _random_case(g: np.random.Generator) -> tuple[Block, float, np.ndarray, float, int]:
     m, k, b = (int(v) for v in g.integers(1, 9, size=3))
     weights = g.normal(size=(k, m)) * (g.random((k, m)) < 0.7)
     mean = g.normal(size=k)
@@ -197,13 +197,13 @@ def _random_case(g: np.random.Generator) -> tuple[extune._Atoms, np.ndarray, flo
         lb=mean - width * std,
         ub=mean + width * std,
         fix=g.normal(size=m),
-        const=float(g.choice([0.0, 0.0, 0.1])),
         alpha=1.0 / std,
         coef=g.random(k) / k,
     )
-    x = a.fix_values + g.normal(size=(b, m)) * g.uniform(0.5, 3.0)
-    x = np.where(g.random((b, m)) < 0.25, a.fix_values, x)  # some already at target
-    return a, x, float(g.choice([1e-9, 1e-3, 0.05])), int(g.integers(1, 6))
+    const = float(g.choice([0.0, 0.0, 0.1]))
+    x = a.col_means + g.normal(size=(b, m)) * g.uniform(0.5, 3.0)
+    x = np.where(g.random((b, m)) < 0.25, a.col_means, x)  # some already at target
+    return a, const, x, float(g.choice([1e-9, 1e-3, 0.05])), int(g.integers(1, 6))
 
 
 @pytest.mark.parametrize("budget", [extune._MAX_CANDIDATES, 7])
@@ -214,9 +214,9 @@ def test_greedy_search_matches_reference(monkeypatch, budget):
     g = np.random.default_rng(2024)
     partial = 0
     for _ in range(400):
-        a, x, eps, max_steps = _random_case(g)
-        want = greedy_group_reference(a, x, eps, max_steps)
-        np.testing.assert_array_equal(extune._greedy_group(a, x, eps, max_steps), want)
+        a, const, x, eps, max_steps = _random_case(g)
+        want = greedy_group_reference(a, const, x, eps, max_steps)
+        np.testing.assert_array_equal(extune._greedy_group(a, const, x, eps, max_steps), want)
         partial += bool(((want > 1.0 / (max_steps + 1)) & (want < 1.0)).any())
     assert partial > 40  # many searches resolve after some, not all, steps
 
@@ -226,12 +226,12 @@ def test_led_batch_matches_reference(monkeypatch):
     cols = LED_COLS + IRRELEVANT_COLS
     c = grouped_constraint(led_window_pdf(0, n=3000, seed=0), "digit", cols)
     batch = led_window_pdf(7, n=120, seed=0)
-    means = extune._global_means(c, cols)
+    table = compile_constraint(c, cols)
 
     def run() -> np.ndarray:
-        atoms = extune._flattener(c, cols, ["digit"], means)
+        group = extune._grouper(table, np.zeros(len(cols)))
         return extune._batch_responsibilities(
-            batch, atoms, cols, {"digit": LongType()}, extune._EPS, 8
+            batch, group, cols, {"digit": LongType()}, extune._EPS, 8
         )
 
     got = run()
@@ -255,3 +255,15 @@ def test_integer_switch_with_nulls_finds_its_branches(spark):
     r = responsibilities(df.coalesce(1), c, ["x", "y"])
     # only the null-switch rows (1 in 7) violate, each capped at 1/9
     assert (r < 0.03).all()
+
+
+def test_nan_feature_never_resolves(spark):
+    """A tuple with a NaN or null feature violates every atom (eta = 1) and
+    no intervention can change that, so each of its searches is capped."""
+    train = linear_pdf(n=600, noise=0.05, seed=11)
+    c = discover_simple(spark.createDataFrame(train))
+    mean_a, mean_b, mean_c = (float(v) for v in train.mean())
+    rows = [(float("nan"), mean_b, mean_c), (mean_a, None, mean_c)]
+    df = spark.createDataFrame(rows, "a double, b double, c double")
+    r = responsibilities(df, c, ["a", "b", "c"], max_steps=4)
+    np.testing.assert_array_equal(r.to_numpy(), [0.2, 0.2, 0.2])

@@ -1,7 +1,9 @@
 """Tests for the quantitative semantics (repro.core.scoring).
 
-Three evaluators (Catalyst, SQL mirror, numpy reference) must agree, and the
-semantics must satisfy the properties of Section 3.2 and Lemma 1.
+The evaluators derived from a constraint's atom table (numpy scorer, DuckDB
+SQL text, Catalyst column) must agree with each other and with the per-atom
+reference walk in ``tests/helpers.py``, and the semantics must satisfy the
+properties of Section 3.2 and Lemma 1.
 """
 from __future__ import annotations
 
@@ -18,12 +20,13 @@ from repro.core.constraints import (
 from repro.core.discovery import discover
 from repro.core.scoring import (
     average_violation,
+    compile_constraint,
     score,
     violation_numpy,
     violation_sql,
 )
 from repro.oracle import assert_equivalent
-from tests.helpers import linear_pdf, piecewise_pdf
+from tests.helpers import linear_pdf, piecewise_pdf, violation_reference
 
 
 def _atom(mean=0.0, std=1.0, gamma=1.0, weights=(1.0, 0.0), C=4.0):
@@ -155,14 +158,123 @@ def test_score_rejects_unknown_engine(spark):
 
 
 def test_constraint_columns():
-    from repro.core.scoring import constraint_columns
+    def columns(c):
+        t = compile_constraint(c)
+        return t.cols, t.switch
 
     s = _random_simple(80)
-    assert constraint_columns(s) == ["a", "b"]
+    assert columns(s) == (("a", "b"), ())
     d = DisjunctiveConstraint(attr="g", branches={"x": s})
-    assert constraint_columns(d) == ["g", "a", "b"]
+    assert columns(d) == (("a", "b"), ("g",))
     cc = CompoundConstraint(parts=(s, d))
-    assert constraint_columns(cc) == ["a", "b", "g"]
+    assert columns(cc) == (("a", "b"), ("g",))
+
+
+def _random_constraint(g: np.random.Generator, cols: list[str]):
+    """A random simple, disjunctive or compound constraint whose parts read
+    random subsets of ``cols`` in random orders."""
+
+    def simple() -> SimpleConstraint:
+        used = tuple(str(c) for c in g.permutation(cols)[: g.integers(1, len(cols) + 1)])
+        gammas = g.random(int(g.integers(0, 4))) + 0.1
+        atoms = []
+        for gamma in gammas / gammas.sum():
+            w = g.normal(size=len(used))
+            mean, std = float(g.normal()), float(abs(g.normal()) + 0.05)
+            atoms.append(
+                BoundedProjection(
+                    cols=used,
+                    weights=tuple(w / np.linalg.norm(w)),
+                    mean=mean,
+                    std=std,
+                    lb=mean - 2 * std,
+                    ub=mean + 2 * std,
+                    gamma=float(gamma),
+                )
+            )
+        return SimpleConstraint(conjuncts=tuple(atoms))
+
+    def disjunctive() -> DisjunctiveConstraint:
+        keys = g.choice(["u", "v", "w", "1"], size=g.integers(0, 4), replace=False)
+        return DisjunctiveConstraint(attr="g", branches={str(k): simple() for k in keys})
+
+    kind = g.integers(3)
+    if kind == 0:
+        return simple()
+    if kind == 1:
+        return disjunctive()
+    return CompoundConstraint(
+        parts=tuple(simple() if g.random() < 0.4 else disjunctive() for _ in range(g.integers(4)))
+    )
+
+
+def test_compiled_scorer_matches_reference():
+    """The atom-table scorer equals the per-atom tree walk on random simple,
+    disjunctive and compound constraints, unseen and null switch keys
+    included."""
+    g = np.random.default_rng(4)
+    cols = ["a", "b", "c", "d"]
+    for _ in range(300):
+        c = _random_constraint(g, cols)
+        n = int(g.integers(1, 60))
+        pdf = pd.DataFrame(g.normal(0, 3, (n, len(cols))), columns=cols)
+        pdf["g"] = g.choice(np.array(["u", "v", "w", "zzz", None], dtype=object), n)
+        np.testing.assert_allclose(
+            violation_numpy(c, pdf), violation_reference(c, pdf), rtol=0, atol=1e-12
+        )
+
+
+def test_engines_agree_on_quoted_names_and_keys(spark):
+    """A feature column whose name holds a space, a backtick and a double
+    quote, and branch keys holding a quote and a backslash: the numpy kernel,
+    the Catalyst column and DuckDB's SQL text give the same scores.  (Spark's
+    ``mapInPandas`` itself rejects a column name with a backtick, so the
+    kernel runs on the pandas frame here.)"""
+    name = 'we ird`c"'
+    atom = BoundedProjection((name, "b"), (0.6, 0.8), 0.0, 1.0, -4.0, 4.0, 1.0)
+    c = DisjunctiveConstraint(
+        attr="k",
+        branches={
+            "O'Hare": SimpleConstraint(conjuncts=(atom,)),
+            "a\\b": SimpleConstraint(conjuncts=(_atom(mean=1.0, std=0.5),)),
+        },
+    )
+    g = np.random.default_rng(5)
+    pdf = pd.DataFrame({"i": np.arange(60), name: g.normal(0, 5, 60), "b": g.normal(0, 5, 60)})
+    pdf["a"] = g.normal(0, 5, 60)
+    pdf["k"] = np.array(["O'Hare", "a\\b", "a\\\\b", "ohare"])[np.arange(60) % 4]
+    want = violation_numpy(c, pdf)
+    assert (want[pdf["k"].isin(["a\\\\b", "ohare"])] == 1.0).all()
+    assert want[pdf["k"] == "O'Hare"].min() == 0.0 and want[pdf["k"] == "a\\b"].min() < 0.5
+    catalyst = score(spark.createDataFrame(pdf), c, engine="catalyst").select("i", "violation")
+    got = catalyst.toPandas().sort_values("i")["violation"]
+    np.testing.assert_allclose(got, want, rtol=1e-12)
+    assert_equivalent(catalyst, f"SELECT i, {violation_sql(c)} AS violation FROM d", d=pdf)
+
+
+def test_engines_agree_on_null_and_nan_features(spark):
+    """An atom whose projection is null or NaN scores 1 in every engine, so
+    a tuple with a missing feature counts as violating, and the average is
+    finite."""
+    train = spark.createDataFrame(linear_pdf(n=300))
+    c = discover(train, cols=["a", "b", "c"])
+    rows = [(10.0, -2.0, 8.0), (None, -2.0, 8.0), (10.0, float("nan"), 8.0), (9.0, -1.0, 8.0)]
+    df = spark.createDataFrame(rows, "a double, b double, c double")
+    want = np.array([0.0, 1.0, 1.0, 0.0])
+    for engine in ("pandas", "catalyst"):
+        got = score(df, c, engine=engine).toPandas()["violation"].to_numpy()
+        np.testing.assert_allclose(got, want, atol=1e-12)
+        assert average_violation(df, c, engine=engine) == pytest.approx(0.5, abs=1e-12)
+    # DuckDB sees the null as NULL and the NaN as NaN
+    pdf = pd.DataFrame(
+        {"a": pd.array([r[0] for r in rows], dtype="Float64"), "b": [r[1] for r in rows], "c": 8.0}
+    )
+    assert pdf["a"].isna().sum() == 1 and np.isnan(pdf["b"]).sum() == 1
+    assert_equivalent(
+        score(df, c, engine="catalyst").select("a", "violation"),
+        f"SELECT a, {violation_sql(c)} AS violation FROM d",
+        d=pdf,
+    )
 
 
 # ---------------------------------------------------------------------------
