@@ -22,7 +22,7 @@ from typing import Any, Union
 
 import numpy as np
 import pandas as pd
-from pyspark.sql.types import DataType, IntegralType
+from pyspark.sql.types import DataType, FloatType, IntegralType
 
 #: Floor applied to sigma when used as the scaling factor alpha = 1/sigma.
 #: The paper sets alpha to "a large positive number" when sigma = 0; the floor
@@ -100,15 +100,23 @@ class DisjunctiveConstraint:
 def branch_key(v: Any) -> str | None:
     """The branch key of one switch-attribute value, or None for null/NaN.
 
-    Equals ``CAST(v AS STRING)`` in Spark and DuckDB for the values pandas
-    hands over for atomic switch attributes: booleans become
-    ``"true"``/``"false"``, timestamps drop a zero fraction of a second,
-    everything else is ``str(v)``.
+    Equals Spark's ``CAST(v AS STRING)`` for the values pandas hands over
+    for atomic switch attributes: booleans become ``"true"``/``"false"``,
+    floats print as Java does (shortest digits, ``"1.0E7"`` outside [1e-3,
+    1e7), where DuckDB differs), timestamps drop a zero fraction of a
+    second, everything else is ``str(v)``.
     """
     if v is None or v is pd.NaT or (isinstance(v, (float, np.floating)) and np.isnan(v)):
         return None
     if isinstance(v, (bool, np.bool_)):
         return "true" if v else "false"
+    if isinstance(v, (float, np.floating)):  # Double.toString, Float.toString for float32
+        if np.isinf(v):
+            return "Infinity" if v > 0 else "-Infinity"
+        if v == 0 or 1e-3 <= abs(v) < 1e7:
+            return np.format_float_positional(v, unique=True, trim="0")
+        mantissa, exp = np.format_float_scientific(v, unique=True, trim="0").split("e")
+        return f"{mantissa}E{int(exp)}"
     if isinstance(v, datetime):
         s = v.strftime("%Y-%m-%d %H:%M:%S")
         return f"{s}.{v.microsecond:06d}".rstrip("0") if v.microsecond else s
@@ -120,11 +128,15 @@ def branch_keys(values: pd.Series | np.ndarray, spark_type: DataType | None = No
 
     ``spark_type`` is the values' Spark type, when they come from a Spark
     column: an integral column holding nulls reaches pandas as float64, and
-    its keys must still read ``"1"``, as ``CAST`` gives, not ``"1.0"``.
+    its keys must still read ``"1"``, as ``CAST`` gives, not ``"1.0"``; a
+    float column's keys take float32's shortest digits (``"0.1"``), which
+    ``factorize``, widening to float64, would lose.
     """
     codes, uniques = pd.factorize(values)
     if isinstance(spark_type, IntegralType):
         uniques = uniques.astype(np.int64)
+    elif isinstance(spark_type, FloatType):
+        uniques = np.asarray(uniques, dtype=np.float32)
     return np.array([branch_key(u) for u in uniques] + [None], dtype=object)[codes]
 
 

@@ -80,7 +80,7 @@ def simple_from_gram(gram: GramResult, C: float = DEFAULT_C) -> SimpleConstraint
     )
     return SimpleConstraint(
         conjuncts=conjuncts,
-        col_means=tuple(float(x) for x in gram.column_means()),
+        col_means=tuple(float(x) for x in gram.mean),
         n=gram.n,
     )
 
@@ -120,7 +120,7 @@ def disjunctive_from_grams(
             if g.n >= min_partition_rows
             else SimpleConstraint(
                 conjuncts=(),
-                col_means=tuple(float(x) for x in g.column_means()),
+                col_means=tuple(float(x) for x in g.mean),
                 n=g.n,
             )
         )

@@ -1,30 +1,24 @@
-"""One-pass distributed second-moment (Gram) computation.
+"""One-pass distributed moments: count, mean and centered scatter.
 
-Algorithm 1 of the paper needs the (m+1)x(m+1) matrix ``G = [1|X]^T [1|X]``
-where ``X`` is the n x m matrix of numerical attribute values and ``[1|X]``
-prepends a constant-1 intercept column.  Section 4.3 observes that ``G`` is a
-sum of per-tuple outer products, so it can be computed "in an embarrassingly
-parallel way where we partition the data (row-wise) and each partition is
-computed in parallel" — that is exactly what this module does: every Spark
-partition emits its partial (m+1)^2 sums through ``mapInPandas`` and the
-driver adds the small partials.  O(n m^2) work, O(m^2) driver memory.
+Section 4.3 observes that the statistics behind the constraints are sums
+over tuples, computed "in an embarrassingly parallel way where we partition
+the data (row-wise) and each partition is computed in parallel".  Here every
+Arrow batch of every Spark partition is reduced to a ``GramResult``: the row
+count ``n``, the column means ``mu`` and the centered scatter
+``S = (X - mu)^T (X - mu)``.  Records merge with the pairwise update of Chan,
+Golub & LeVeque (1979), ``_merge`` — batch by batch in the partition, then
+partial by partial on the driver, in partition order — which is the only
+place a covariance is formed.  Unlike raw sums ``Sum x x^T``, ``S`` does not
+cancel on columns far from 0 (epoch timestamps, say), so the projection
+``F(t) = w . t`` gets ``mu(F) = w . mu`` and ``sigma(F) = sqrt(w^T S w / n)``
+with no further pass.  Algorithm 1's augmented Gram (``GramResult.g``),
+PCA-SPLL, CD and OLS all read this one record.  O(n m^2) work, O(m^2)
+driver memory.
 
-The same holds for the per-partition Grams of the disjunctive constraints
-(§4.2) and for the distinct values that decide which attributes may switch
-them, so ``gram_pass`` collects all of it — the global Gram, one grouped Gram
-per switch attribute and each candidate's distinct keys — in one scan: one
-kernel, one Spark job.  ``augmented_gram`` and ``grouped_augmented_gram`` are
-its no-switch and one-switch cases.
-
-``G`` is also sufficient for every statistic the method needs downstream:
-for a linear projection F(t) = w . t,
-
-    mu(F(D))   = w . colsum / n            (colsum = G[0, 1:])
-    E[F^2]     = w^T M w / n               (M = G[1:, 1:])
-    var(F(D))  = E[F^2] - mu^2
-
-so discovery makes a *single* pass over the data regardless of how many
-projections Algorithm 1 returns or how many switch attributes it tries.
+``gram_pass`` collects every record discovery needs — the global one, one
+per branch of each switch attribute (§4.2) and each candidate's distinct
+keys — in one scan: one kernel, one Spark job.  ``augmented_gram`` and
+``grouped_augmented_gram`` are its no-switch and one-switch cases.
 """
 from __future__ import annotations
 
@@ -53,55 +47,82 @@ def numeric_columns(df: DataFrame) -> list[str]:
 
 @dataclass(frozen=True)
 class GramResult:
-    """Row count and augmented Gram matrix ``[1|X]^T [1|X]`` for one dataset.
-
-    ``cols`` records the attribute order of the m non-intercept columns; the
-    matrix ``g`` is (m+1)x(m+1) with index 0 = the intercept column, so
-    ``g[0, 0] == n``, ``g[0, 1:]`` holds column sums and ``g[1:, 1:]`` the raw
-    second moments ``X^T X``.
-    """
+    """Row count, (m,) column means and (m, m) centered scatter
+    ``(X - mean)^T (X - mean)`` of the m attributes ``cols``; zeros if n = 0."""
 
     cols: tuple[str, ...]
     n: int
-    g: np.ndarray
+    mean: np.ndarray
+    scatter: np.ndarray
+
+    @property
+    def g(self) -> np.ndarray:
+        """Algorithm 1's augmented Gram ``[1|X]^T [1|X]``, rebuilt as
+        ``T^T [[n, 0], [0, S]] T`` with ``T = [[1, mean^T], [0, I]]``."""
+        n, mean = self.n, self.mean
+        return _square(n, n * mean, self.scatter + n * np.outer(mean, mean))
+
+    def cov(self) -> np.ndarray:
+        """Population covariance ``scatter / n`` (zero when ``n == 0``)."""
+        return self.scatter / max(self.n, 1)
 
     def projection_moments(self, weights: np.ndarray) -> tuple[float, float]:
         """Mean and standard deviation of the projection ``t -> weights . t``.
 
-        Derived purely from the Gram matrix (no extra data pass). Variance is
-        clamped at 0 against floating-point cancellation.
-        """
+        Along a null direction of a rank-deficient ``S`` (a constant column,
+        a branch of two rows) rounding may take ``w^T S w`` just below 0:
+        that is sigma = 0, not NaN."""
         w = np.asarray(weights, dtype=np.float64)
-        if self.n == 0:
-            return 0.0, 0.0
-        mean = float(w @ self.g[0, 1:]) / self.n
-        second = float(w @ self.g[1:, 1:] @ w) / self.n
-        var = max(second - mean * mean, 0.0)
-        return mean, float(np.sqrt(var))
-
-    def column_means(self) -> np.ndarray:
-        """Per-attribute means (used as ExTuNe intervention targets)."""
-        if self.n == 0:
-            return np.zeros(len(self.cols))
-        return self.g[0, 1:] / self.n
+        return float(w @ self.mean), float(np.sqrt(max(w @ self.cov() @ w, 0.0)))
 
 
-def _gram_of(x: np.ndarray) -> tuple[int, np.ndarray] | None:
-    """Row count and ``[1|x]^T [1|x]`` over the rows of ``x`` without a NaN."""
-    if x.size:
-        x = x[~np.isnan(x).any(axis=1)]
-    if not len(x):
+#: ``(n, mean, scatter)``: a ``GramResult`` without its column names.
+Moments = tuple[int, np.ndarray, np.ndarray]
+
+
+def _moments_of(x: np.ndarray) -> Moments | None:
+    """Count, mean and centered scatter of the rows of ``x`` whose sum is not
+    NaN (no NaN, not +inf beside -inf), by Chan, Golub & LeVeque's corrected
+    two-pass algorithm: ``c`` is the first mean's rounding error, large
+    enough on columns far from 0 to skew the merges."""
+    ok = ~np.isnan(x @ np.ones(x.shape[1]))
+    if not ok.all():
+        x = x[ok]
+    n = len(x)
+    if not n:
         return None
-    xa = np.hstack([np.ones((len(x), 1)), x])
-    return len(x), xa.T @ xa
+    u = np.full(n, 1 / n)
+    mean = u @ x
+    xc = x - mean
+    c = u @ xc
+    return n, mean + c, xc.T @ xc - n * np.outer(c, c)
 
 
-def _add(acc: dict, key: object, n: int, g: np.ndarray) -> None:
-    n0, g0 = acc.get(key, (0, np.zeros_like(g)))
-    acc[key] = (n0 + n, g0 + g)
+def _merge(a: Moments, b: Moments) -> Moments:
+    """The moments of the rows of ``a`` and ``b`` together: the pairwise
+    update of Chan, Golub & LeVeque.  Merging an empty side (not both)
+    returns the other side exactly."""
+    (na, ma, sa), (nb, mb, sb) = a, b
+    n = na + nb
+    d = mb - ma
+    return n, ma + d * (nb / n), sa + sb + np.outer(d, d * (na * nb / n))
 
 
-#: ``(switch index, branch key)`` under which the global Gram is accumulated.
+def _add(acc: dict, key: object, r: Moments) -> None:
+    acc[key] = _merge(acc[key], r) if key in acc else r
+
+
+def _square(n: float, mean: np.ndarray, scatter: np.ndarray) -> np.ndarray:
+    """``[[n, mean^T], [mean, scatter]]``; flattened, the wire form of a record."""
+    return np.block([[np.full((1, 1), float(n)), mean[None, :]], [mean[:, None], scatter]])
+
+
+def _unpack(n: int, packed: Sequence[float], m: int) -> Moments:
+    p = np.asarray(packed, dtype=np.float64).reshape(m + 1, m + 1)
+    return n, p[0, 1:], p[1:, 1:]
+
+
+#: ``(switch index, branch key)`` under which the global moments are accumulated.
 _TOTAL = (-1, None)
 
 
@@ -111,24 +132,23 @@ def _partial_grams_fn(
     types: dict[str, DataType],
     max_keys: int | None,
 ) -> Callable[[Iterator[pd.DataFrame]], Iterator[pd.DataFrame]]:
-    """The kernel of ``gram_pass``: every partial Gram of one Spark partition.
+    """The kernel of ``gram_pass``: every partial moments record of one
+    Spark partition, merged batch by batch.
 
-    Emits one row per Gram: ``s = -1`` for the global one, ``s = i, v = key``
-    for branch ``key`` of the i-th switch.  A key seen only on rows with a
-    NaN feature has a null ``g``; a null ``v`` marks a switch that saw more
-    than ``max_keys`` keys in this partition.
+    Emits one row per record, ``g`` packed by ``_square``: ``s = -1`` for the
+    global one, ``s = i, v = key`` for branch ``key`` of the i-th switch.  A key
+    seen only on rows with a NaN feature has a null ``g``; a null ``v`` marks
+    a switch that saw more than ``max_keys`` keys in this partition.
     """
     attrs = list(switches)
 
     def fn(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        acc: dict[tuple[int, str | None], tuple[int, np.ndarray]] = {}
-        if cols is not None:
-            acc[_TOTAL] = (0, np.zeros((len(cols) + 1,) * 2, dtype=np.float64))
+        acc: dict[tuple[int, str | None], Moments] = {}
         seen: list[set[str] | None] = [set() for _ in attrs]  # None: over max_keys
         for pdf in batches:
             if cols is not None:
-                if r := _gram_of(pdf[cols].to_numpy(dtype=np.float64, copy=False)):
-                    _add(acc, _TOTAL, *r)
+                if r := _moments_of(pdf[cols].to_numpy(dtype=np.float64, copy=False)):
+                    _add(acc, _TOTAL, r)
             for i, attr in enumerate(attrs):
                 if seen[i] is None:
                     continue
@@ -140,11 +160,11 @@ def _partial_grams_fn(
                     continue
                 x = pdf[switches[attr]].to_numpy(dtype=np.float64, copy=False)
                 for code, key in enumerate(keys):
-                    if r := _gram_of(x[codes == code]):
-                        _add(acc, (i, key), *r)
+                    if r := _moments_of(x[codes == code]):
+                        _add(acc, (i, key), r)
         rows = [
-            (i, k, n, g.ravel().tolist())
-            for (i, k), (n, g) in acc.items()
+            (i, k, r[0], _square(*r).ravel().tolist())
+            for (i, k), r in acc.items()
             if i < 0 or seen[i] is not None
         ]
         for i, keys in enumerate(seen):
@@ -159,10 +179,10 @@ def _partial_grams_fn(
 
 @dataclass(frozen=True)
 class GramPass:
-    """The Grams of one ``gram_pass``.
+    """The moments records of one ``gram_pass``.
 
-    ``total`` is the Gram over the pass's ``cols`` (None if not asked for);
-    ``grouped[attr][key]`` is the Gram of the rows whose ``attr`` has branch
+    ``total`` is the record over the pass's ``cols`` (None if not asked for);
+    ``grouped[attr][key]`` is the record of the rows whose ``attr`` has branch
     key ``key``; ``distinct[attr]`` counts the distinct non-null keys of
     ``attr``, keys whose rows all had a NaN feature included.  A switch with
     more than ``max_keys`` keys is in neither dict.
@@ -189,9 +209,9 @@ def gram_pass(
     keys, in one partition or in all of ``df``, is dropped; its partials stop
     growing as soon as one partition sees too many keys.
 
-    Each Gram is accumulated batch by batch and merged in partition order,
-    exactly as a pass computing only that Gram would, so the result does not
-    depend on what else the pass computes.
+    Each record is merged batch by batch and then in partition order,
+    exactly as a pass computing only that record would, so the result does
+    not depend on what else the pass computes.
     """
     switches = {a: list(c) for a, c in (switches or {}).items()}
     attrs = list(switches)
@@ -208,9 +228,9 @@ def gram_pass(
     def gcols(s: int) -> list[str]:
         return cols if s < 0 else switches[attrs[s]]
 
-    acc: dict[tuple[int, str | None], tuple[int, np.ndarray]] = {}
-    if cols is not None:
-        acc[_TOTAL] = (0, np.zeros((len(cols) + 1,) * 2, dtype=np.float64))
+    acc: dict[tuple[int, str | None], Moments] = {}
+    if cols is not None:  # the global record, also of a frame without rows
+        acc[_TOTAL] = (0, np.zeros(len(cols)), np.zeros((len(cols),) * 2))
     seen: list[set[str]] = [set() for _ in attrs]
     over: set[int] = set()
     for row in partials:
@@ -221,14 +241,13 @@ def gram_pass(
         if s >= 0:
             seen[s].add(v)
         if row["g"] is not None:
-            m1 = len(gcols(s)) + 1
-            _add(acc, (s, v), row["n"], np.asarray(row["g"], dtype=np.float64).reshape(m1, m1))
+            _add(acc, (s, v), _unpack(row["n"], row["g"], len(gcols(s))))
     kept = [
         s
         for s in range(len(attrs))
         if s not in over and (max_keys is None or len(seen[s]) <= max_keys)
     ]
-    grams = {key: GramResult(cols=tuple(gcols(key[0])), n=n, g=g) for key, (n, g) in acc.items()}
+    grams = {key: GramResult(tuple(gcols(key[0])), *r) for key, r in acc.items()}
     return GramPass(
         total=grams.get(_TOTAL),
         grouped={attrs[s]: {v: r for (i, v), r in grams.items() if i == s} for s in kept},

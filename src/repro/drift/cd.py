@@ -66,12 +66,10 @@ def _histograms(df: DataFrame, model_cols, components, lows, widths, bins) -> np
 def fit_cd(df: DataFrame, cols: Sequence[str], k: int = 2, bins: int = 20) -> CDModel:
     cols = list(cols)
     gram = augmented_gram(df, cols)
-    mean = gram.column_means()
-    cov = gram.g[1:, 1:] / gram.n - np.outer(mean, mean)
-    eigvals, eigvecs = np.linalg.eigh(cov)
+    eigvals, eigvecs = np.linalg.eigh(gram.cov())
     order = np.argsort(eigvals)[::-1][: min(k, len(cols))]
     comps = eigvecs[:, order].T
-    mus = comps @ mean
+    mus = comps @ gram.mean
     sds = np.sqrt(np.maximum(eigvals[order], 1e-12))
     lows = mus - 5 * sds
     widths = (10 * sds) / bins

@@ -44,9 +44,7 @@ def fit_pca_spll(
 ) -> SPLLModel:
     cols = list(cols)
     gram = augmented_gram(df, cols)
-    mean = gram.column_means()
-    cov = gram.g[1:, 1:] / gram.n - np.outer(mean, mean)
-    eigvals, eigvecs = np.linalg.eigh(cov)  # ascending
+    eigvals, eigvecs = np.linalg.eigh(gram.cov())  # ascending
     eigvals = np.maximum(eigvals, 0.0)
     total = eigvals.sum()
     keep: list[int] = []
@@ -56,14 +54,12 @@ def fit_pca_spll(
         if cum >= cum_var_threshold:
             break
         keep.append(k)
-    comps = eigvecs[:, keep].T if keep else np.zeros((0, len(cols)))
-    comp_means = comps @ mean if keep else np.zeros(0)
-    comp_stds = np.sqrt(eigvals[keep]) if keep else np.zeros(0)
+    comps = eigvecs[:, keep].T  # (0, m) when nothing is retained
     return SPLLModel(
         cols=tuple(cols),
         components=comps,
-        comp_means=comp_means,
-        comp_stds=np.maximum(comp_stds, 1e-12),
+        comp_means=comps @ gram.mean,
+        comp_stds=np.maximum(np.sqrt(eigvals[keep]), 1e-12),
     )
 
 

@@ -1,12 +1,12 @@
 """Closed-form linear regression on Spark DataFrames.
 
-Fitting solves the normal equations ``(X_a^T X_a) beta = X_a^T y`` where
-``X_a = [1|X]``.  Both sides come out of one augmented-Gram pass over
-``features + [target]`` (see ``repro.core.gram``): the Gram of
-``[1 | X | y]`` contains ``X_a^T X_a`` as its leading block and ``X_a^T y``
-as its last column.  A tiny ridge term keeps the solve well-posed when
-features are collinear (the airlines data intentionally has near-collinear
-time attributes).  Prediction and MAE are pure Catalyst expressions.
+Fitting solves the centered normal equations ``S_xx beta = S_xy``, with
+``intercept = mean(y) - mean(X) . beta``; ``S`` is the scatter of one moments
+pass over ``features + [target]`` (see ``repro.core.gram``).  A tiny ridge
+term on ``beta`` keeps the solve well-posed when features are collinear (the
+airlines data intentionally has near-collinear time attributes); it equals
+the raw normal equations' ridge with an unpenalized intercept.  Prediction
+and MAE are pure Catalyst expressions.
 """
 from __future__ import annotations
 
@@ -41,24 +41,19 @@ def fit_ols(
 ) -> LinearModel:
     """Fit OLS (with a tiny ridge for conditioning) in one distributed pass.
 
-    ``ridge`` multiplies the mean feature scale so it is unit-free; it is not
-    applied to the intercept.
+    ``ridge`` multiplies the features' mean raw second moment (at least 1)
+    so it is unit-free; it is not applied to the intercept.
     """
     feature_cols = list(feature_cols)
     gram = augmented_gram(df, feature_cols + [target])
-    k = len(feature_cols) + 1  # intercept + features
-    a = gram.g[:k, :k].copy()
-    b = gram.g[:k, -1].copy()
-    if ridge > 0:
-        scale = np.mean(np.diag(a)[1:]) if k > 1 else 1.0
-        reg = np.eye(k) * ridge * max(scale, 1.0)
-        reg[0, 0] = 0.0
-        a = a + reg
-    beta = np.linalg.solve(a, b)
+    k = len(feature_cols)
+    mean, s = gram.mean, gram.scatter
+    scale = np.mean(np.diag(s)[:k] + gram.n * mean[:k] ** 2) if k else 1.0
+    beta = np.linalg.solve(s[:k, :k] + np.eye(k) * ridge * max(scale, 1.0), s[:k, k])
     return LinearModel(
         feature_cols=tuple(feature_cols),
-        intercept=float(beta[0]),
-        coefs=tuple(float(x) for x in beta[1:]),
+        intercept=float(mean[k] - mean[:k] @ beta),
+        coefs=tuple(float(x) for x in beta),
     )
 
 

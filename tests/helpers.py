@@ -17,7 +17,7 @@ from repro.core.constraints import (
     branch_keys,
 )
 from repro.core.discovery import disjunctive_from_grams, simple_from_gram
-from repro.core.gram import GramResult
+from repro.core.gram import GramResult, _partial_grams_fn, _unpack
 
 
 def linear_pdf(
@@ -66,20 +66,32 @@ def numpy_aug_gram(pdf: pd.DataFrame, cols: list[str]) -> tuple[int, np.ndarray]
     return len(x), xa.T @ xa
 
 
+def frame_moments(pdf: pd.DataFrame, cols: list[str]) -> GramResult:
+    """Reference moments of ``pdf[cols]`` (count, mean, centered scatter),
+    computed directly with numpy."""
+    x = pdf[cols].to_numpy(dtype=np.float64)
+    mean = x.mean(axis=0)
+    xc = x - mean
+    return GramResult(tuple(cols), len(x), mean, xc.T @ xc)
+
+
+def kernel_moments(pdf: pd.DataFrame, cols: list[str], batch: int = 10_000) -> GramResult:
+    """``augmented_gram`` without Spark: the Gram pass's partition kernel run
+    in-process over ``batch``-row slices of ``pdf``, as one partition."""
+    fn = _partial_grams_fn(list(cols), {}, {}, None)
+    (row,) = next(fn(pdf.iloc[s : s + batch] for s in range(0, len(pdf), batch))).itertuples()
+    return GramResult(tuple(cols), *_unpack(row.n, row.g, len(cols)))
+
+
 def grouped_constraint(
     pdf: pd.DataFrame, attr: str, cols: list[str], include_global: bool = False
 ) -> CompoundConstraint:
     """``discover(df, cols, partition_attrs=[attr], include_global=...)`` for
     a string or integer switch ``attr``, computed with numpy instead of Spark."""
-    grams = {
-        str(k): GramResult(cols=tuple(cols), n=n, g=g)
-        for k, part in pdf.groupby(attr)
-        for n, g in [numpy_aug_gram(part, cols)]
-    }
+    grams = {str(k): frame_moments(part, cols) for k, part in pdf.groupby(attr)}
     parts = (disjunctive_from_grams(attr, grams),)
     if include_global:
-        n, g = numpy_aug_gram(pdf, cols)
-        parts = (simple_from_gram(GramResult(cols=tuple(cols), n=n, g=g)), *parts)
+        parts = (simple_from_gram(frame_moments(pdf, cols)), *parts)
     return CompoundConstraint(parts=parts)
 
 

@@ -7,6 +7,7 @@ from decimal import Decimal
 import numpy as np
 import pandas as pd
 import pytest
+from pyspark.sql.types import FloatType
 
 from repro.core.constraints import (
     BoundedProjection,
@@ -128,13 +129,26 @@ def test_normalize_gammas_empty_and_degenerate():
         (None, None),
         (np.nan, None),
         (pd.NaT, None),
+        (1e7, "1.0E7"),
+        (1e-4, "1.0E-4"),
+        (-123456789.0, "-1.23456789E8"),
+        (np.float32(0.1), "0.1"),
+        (float("inf"), "Infinity"),
     ],
 )
 def test_branch_key_matches_cast_as_string(value, key):
-    """Spark's and DuckDB's CAST(value AS STRING); null has no key."""
+    """Spark's CAST(value AS STRING), which DuckDB's matches except on floats
+    outside [1e-3, 1e7); null has no key."""
     assert branch_key(value) == key
 
 
 def test_branch_keys_vectorized():
     keys = branch_keys(pd.Series([True, None, False, True], dtype=object))
     assert keys.tolist() == ["true", None, "false", "true"]
+
+
+def test_branch_keys_of_a_float_column():
+    """Spark's CAST prints a float (float32) with its own shortest digits."""
+    values = pd.Series(np.array([0.1, 1e7, np.nan, 1.2573022e-10], dtype=np.float32))
+    keys = branch_keys(values, FloatType())
+    assert keys.tolist() == ["0.1", "1.0E7", None, "1.2573022E-10"]

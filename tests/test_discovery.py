@@ -20,11 +20,12 @@ from repro.core.discovery import (
     discover_disjunctive,
     discover_simple,
     eligible_partition_attrs,
+    simple_from_gram,
     switch_candidates,
 )
 from repro.core.gram import numeric_columns
 from repro.core.scoring import average_violation, violation_numpy
-from tests.helpers import linear_pdf, piecewise_pdf
+from tests.helpers import kernel_moments, linear_pdf, piecewise_pdf
 
 
 def test_simple_constraint_shape(spark):
@@ -147,6 +148,32 @@ def test_average_violation_train_near_zero(spark):
     df = spark.createDataFrame(pdf)
     c = discover(df)
     assert average_violation(df, c) < 0.02
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+@pytest.mark.parametrize("offset", [0.0, 1e5, 1e7, 1e9])
+@pytest.mark.parametrize("via", ["kernel", "spark"])
+def test_sigma_and_training_violation_wherever_the_data_sits(spark, via, offset, scale):
+    """Where the data sits must not change the verdict.  Every discovered
+    projection's sigma is np.std of that projection, up to the data's own
+    resolution, and the training data conforms to its own constraint.  Once
+    through the Gram pass's kernel alone (batches of 700 rows merged in one
+    partition), once through Spark on three partitions."""
+    cols = ["a", "b", "c"]
+    pdf = offset + scale * linear_pdf(n=2000)
+    if via == "kernel":
+        c = simple_from_gram(kernel_moments(pdf, cols, batch=700))
+        train_violation = violation_numpy(c, pdf).mean()
+    else:
+        df = spark.createDataFrame(pdf).repartition(3)
+        c = discover_simple(df, cols)
+        train_violation = average_violation(df, c)
+    x = pdf[cols].to_numpy()
+    resolution = np.spacing(np.abs(x).max())
+    for b in c.conjuncts:
+        f_std = (x @ np.asarray(b.weights)).std()
+        assert abs(b.std - f_std) <= 1e-6 * f_std + 1e3 * resolution
+    assert train_violation <= 1e-3
 
 
 def test_equality_projection_weights(spark):

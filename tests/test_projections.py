@@ -4,14 +4,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.gram import GramResult, augmented_gram
+from repro.core.gram import augmented_gram
 from repro.core.projections import derive_projections, importance_raw
-from tests.helpers import linear_pdf, numpy_aug_gram, random_unit_vectors
-
-
-def _gram_from_pdf(pdf, cols):
-    n, g = numpy_aug_gram(pdf, cols)
-    return GramResult(cols=tuple(cols), n=n, g=g)
+from tests.helpers import frame_moments, linear_pdf, random_unit_vectors
 
 
 def test_example3_zero_variance_projection():
@@ -19,7 +14,7 @@ def test_example3_zero_variance_projection():
     import pandas as pd
 
     pdf = pd.DataFrame({"A1": [1.0, 2.0, 3.0], "A2": [1.0, 2.0, 3.0]})
-    projections = derive_projections(_gram_from_pdf(pdf, ["A1", "A2"]))
+    projections = derive_projections(frame_moments(pdf, ["A1", "A2"]))
     best = min(projections, key=lambda p: p.std)
     assert best.std == pytest.approx(0.0, abs=1e-9)
     w = np.abs(np.asarray(best.weights))
@@ -30,13 +25,13 @@ def test_example3_zero_variance_projection():
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_unit_norm_weights(seed):
     pdf = linear_pdf(n=300, seed=seed)
-    for p in derive_projections(_gram_from_pdf(pdf, ["a", "b", "c"])):
+    for p in derive_projections(frame_moments(pdf, ["a", "b", "c"])):
         assert np.linalg.norm(p.weights) == pytest.approx(1.0, rel=1e-9)
 
 
 def test_sorted_by_eigenvalue():
     pdf = linear_pdf(n=300, seed=3)
-    projections = derive_projections(_gram_from_pdf(pdf, ["a", "b", "c"]))
+    projections = derive_projections(frame_moments(pdf, ["a", "b", "c"]))
     eigs = [p.eigenvalue for p in projections]
     assert eigs == sorted(eigs)
 
@@ -44,7 +39,7 @@ def test_sorted_by_eigenvalue():
 def test_planted_invariant_recovered():
     """c = a + b + noise -> lowest-std projection is ±(1,1,-1)/sqrt(3)."""
     pdf = linear_pdf(n=2000, noise=0.01, seed=4)
-    projections = derive_projections(_gram_from_pdf(pdf, ["a", "b", "c"]))
+    projections = derive_projections(frame_moments(pdf, ["a", "b", "c"]))
     best = min(projections, key=lambda p: p.std)
     assert best.std < 0.05
     w = np.asarray(best.weights)
@@ -57,7 +52,7 @@ def test_theorem4_min_std_beats_random_projections(seed):
     """Theorem 4(1): Algorithm 1's min sigma <= sigma of any linear projection."""
     pdf = linear_pdf(n=500, noise=0.2, seed=seed)
     cols = ["a", "b", "c"]
-    projections = derive_projections(_gram_from_pdf(pdf, cols))
+    projections = derive_projections(frame_moments(pdf, cols))
     sigma_star = min(p.std for p in projections)
     x = pdf[cols].to_numpy()
     for w in random_unit_vectors(3, 200, seed=seed + 100):
@@ -75,7 +70,7 @@ def test_theorem4_projections_nearly_uncorrelated():
     def max_abs_rho(n: int) -> float:
         pdf = linear_pdf(n=n, noise=0.5, seed=9)
         cols = ["a", "b", "c"]
-        projections = derive_projections(_gram_from_pdf(pdf, cols))[:-1]
+        projections = derive_projections(frame_moments(pdf, cols))[:-1]
         x = pdf[cols].to_numpy()
         fs = [x @ np.asarray(p.weights) for p in projections]
         return max(
@@ -94,7 +89,7 @@ def test_centered_data_skips_intercept_eigenvector():
     eigenvector defines no projection and must be skipped (m, not m+1)."""
     pdf = linear_pdf(n=400, seed=10)
     pdf = pdf - pdf.mean()
-    projections = derive_projections(_gram_from_pdf(pdf, ["a", "b", "c"]))
+    projections = derive_projections(frame_moments(pdf, ["a", "b", "c"]))
     assert len(projections) == 3
 
 
@@ -106,7 +101,7 @@ def test_importance_prefers_low_variance():
 def test_spark_and_numpy_grams_give_same_projections(spark):
     pdf = linear_pdf(n=600, seed=11)
     spark_gram = augmented_gram(spark.createDataFrame(pdf), ["a", "b", "c"])
-    ref_gram = _gram_from_pdf(pdf, ["a", "b", "c"])
+    ref_gram = frame_moments(pdf, ["a", "b", "c"])
     p1 = derive_projections(spark_gram)
     p2 = derive_projections(ref_gram)
     assert len(p1) == len(p2)

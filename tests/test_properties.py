@@ -11,10 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.constraints import BoundedProjection, SimpleConstraint, normalize_gammas
-from repro.core.gram import GramResult
 from repro.core.projections import derive_projections, importance_raw
 from repro.core.scoring import violation_numpy
-from tests.helpers import numpy_aug_gram
+from tests.helpers import frame_moments
 
 finite = st.floats(min_value=-1e4, max_value=1e4, allow_nan=False, allow_infinity=False)
 pos = st.floats(min_value=1e-3, max_value=1e3, allow_nan=False, allow_infinity=False)
@@ -90,13 +89,29 @@ def test_importance_monotone_decreasing(s1, s2):
 def test_gram_moments_match_direct(seed, n, scale):
     g = np.random.default_rng(seed)
     pdf = pd.DataFrame(g.normal(0, scale, (n, 3)), columns=["a", "b", "c"])
-    nn, gm = numpy_aug_gram(pdf, ["a", "b", "c"])
-    gram = GramResult(cols=("a", "b", "c"), n=nn, g=gm)
+    gram = frame_moments(pdf, ["a", "b", "c"])
     w = g.normal(size=3)
     mean, std = gram.projection_moments(w)
     f = pdf.to_numpy() @ w
     assert abs(mean - f.mean()) < 1e-6 * max(1, abs(f.mean()))
     assert abs(std - f.std()) < 1e-5 * max(1.0, f.std())
+
+
+@given(
+    seed=st.integers(0, 1000),
+    n=st.integers(1, 30),
+    rank=st.integers(0, 2),
+    offset=st.sampled_from([0.0, 1e3, 1e7]),
+)
+@settings(max_examples=200, deadline=None)
+def test_sigma_finite_on_rank_deficient_data(seed, n, rank, offset):
+    """Along a null direction of a rank-deficient scatter, rounding may take
+    w^T S w just below 0: sigma must read 0 there, not NaN."""
+    g = np.random.default_rng(seed)
+    x = g.normal(size=(n, rank)) @ g.normal(size=(rank, 3)) + offset
+    gram = frame_moments(pd.DataFrame(x, columns=["a", "b", "c"]), ["a", "b", "c"])
+    for p in derive_projections(gram):
+        assert 0.0 <= p.std < np.inf
 
 
 @given(seed=st.integers(0, 500))
@@ -107,8 +122,7 @@ def test_min_variance_projection_optimal(seed):
     g = np.random.default_rng(seed)
     x = g.normal(size=(100, 3)) @ g.normal(size=(3, 3)) + g.normal(0, 0.1, (100, 3))
     pdf = pd.DataFrame(x, columns=["a", "b", "c"])
-    nn, gm = numpy_aug_gram(pdf, ["a", "b", "c"])
-    projections = derive_projections(GramResult(cols=("a", "b", "c"), n=nn, g=gm))
+    projections = derive_projections(frame_moments(pdf, ["a", "b", "c"]))
     sigma_star = min(p.std for p in projections)
     for _ in range(20):
         w = g.normal(size=3)

@@ -422,3 +422,35 @@ def test_engines_agree_on_integer_switch_with_nulls(spark):
     nulls = pdf["k"].isna().mean()
     for engine in ("pandas", "catalyst"):
         assert average_violation(df, c, engine=engine) == pytest.approx(nulls / 2, abs=0.01)
+
+
+def test_engines_agree_on_float_switch(spark):
+    """A double switch keys as Spark's CAST(... AS STRING) prints it, in
+    Java's notation ("1.0E7", "1.0E-4"), so the pandas kernel and the
+    Catalyst expression pick the same branch; null and NaN rows belong to no
+    branch and score 1 on the disjunctive part in both.  DuckDB prints
+    doubles outside [1e-3, 1e7) without an exponent, so it checks the other
+    rows only."""
+    pdf = piecewise_pdf(n_per=134, seed=32).head(400)
+    grp = pdf.pop("grp").str[1:].astype(int).to_numpy()
+    k = np.array([0.5, 1e7, 1e-4], dtype=object)[grp]
+    k[(grp == 2) & (np.arange(len(k)) % 2 == 1)] = 123456789.0
+    k[::7] = None
+    k[3::11] = float("nan")
+    pdf["k"] = k
+    df = spark.createDataFrame(list(pdf.itertuples(index=False)), "x double, y double, k double")
+    c = discover(df, cols=["x", "y"], partition_attrs=["k"])
+    assert set(c.parts[1].branches) == {"0.5", "1.0E7", "1.0E-4", "1.23456789E8"}
+    pandas_v = score(df, c, engine="pandas").toPandas().sort_values(["x", "y"])
+    catalyst = score(df, c, engine="catalyst")
+    catalyst_v = catalyst.toPandas().sort_values(["x", "y"])
+    np.testing.assert_allclose(pandas_v["violation"], catalyst_v["violation"], rtol=1e-9)
+    missing = pdf["k"].isna()
+    for engine in ("pandas", "catalyst"):
+        assert average_violation(df, c, engine=engine) == pytest.approx(missing.mean() / 2, abs=0.01)
+    near = pdf[missing | (pdf["k"] == 0.5)].astype({"k": float})
+    assert_equivalent(
+        catalyst.where("isnull(k) OR isnan(k) OR k = 0.5").select("x", "y", "violation"),
+        f"SELECT x, y, {violation_sql(c)} AS violation FROM d",
+        d=near,
+    )
