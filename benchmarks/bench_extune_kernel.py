@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from pyspark.sql.types import LongType
 
 from repro.core.scoring import compile_constraint
 from repro.datasets.led import IRRELEVANT_COLS, LED_COLS, led_window_pdf
@@ -32,7 +31,7 @@ def test_bench_extune_kernel(benchmark, monkeypatch, n):
     def run() -> np.ndarray:
         group = extune._grouper(table, np.zeros(len(COLS)))
         return extune._batch_responsibilities(
-            batch, group, COLS, {"digit": LongType()}, extune._EPS, 8
+            batch, group, COLS, table.switches, extune._EPS, 8
         )
 
     got = benchmark.pedantic(run, rounds=5, iterations=1)

@@ -17,7 +17,7 @@ import numpy as np
 import pandas as pd
 import pytest
 
-from tests.helpers import kernel_moments, numpy_aug_gram
+from tests.helpers import augmented, kernel_moments, numpy_aug_gram
 
 ROWS = 200_000
 
@@ -33,4 +33,4 @@ def test_bench_gram_kernel(benchmark, m):
     benchmark.extra_info["ms_per_mrow"] = 1e3 * best / (ROWS / 1e6)
     n, want = numpy_aug_gram(pdf, cols)
     assert got.n == n
-    np.testing.assert_allclose(got.g, want, rtol=1e-9, atol=1e-6)
+    np.testing.assert_allclose(augmented(got), want, rtol=1e-9, atol=1e-6)

@@ -2,9 +2,11 @@
 
 Times ``AtomTable.violation``, the kernel behind ``score`` and
 ``average_violation``, over 10K-row batches (Spark's default Arrow batch
-size) on two workload inputs: the airlines constraint (200K daytime training
-rows, m = 12, a global part and ten carrier branches) and the LED digit
-constraint (10K rows of window 0, m = 24, ten digit branches).  Reports ns
+size) on three workload inputs: the airlines constraint (200K daytime
+training rows, m = 12, a global part and ten carrier branches), the LED digit
+constraint (10K rows of window 0, m = 24, ten digit branches), and the same
+LED constraint with ``digit`` as float64, which times matching a float
+switch value to its branch.  Reports ns
 per row per atom (``extra_info["ns_per_row_atom"]``; a row meets one branch
 of each disjunctive part) and checks the scores against the per-atom
 reference walk in ``tests/helpers.py``.  Nothing is written to
@@ -35,7 +37,14 @@ def _led():
     return pdf, grouped_constraint(pdf, "digit", LED_COLS + IRRELEVANT_COLS)
 
 
-@pytest.mark.parametrize("inputs", [_airlines, _led], ids=["airlines_200k", "led_10k"])
+def _led_float():
+    pdf = led_window_pdf(0, n=10_000, windows_per_phase=1, seed=0).astype({"digit": float})
+    return pdf, grouped_constraint(pdf, "digit", LED_COLS + IRRELEVANT_COLS)
+
+
+@pytest.mark.parametrize(
+    "inputs", [_airlines, _led, _led_float], ids=["airlines_200k", "led_10k", "led_float_10k"]
+)
 def test_bench_scoring_kernel(benchmark, inputs):
     pdf, constraint = inputs()
     table = compile_constraint(constraint)
@@ -45,7 +54,7 @@ def test_bench_scoring_kernel(benchmark, inputs):
         return np.concatenate([table.violation(b) for b in batches])
 
     got = benchmark.pedantic(run, rounds=5, iterations=1)
-    atoms = sum(np.mean([len(b.weights) for b in blocks.values()]) for _, blocks in table.parts)
+    atoms = sum(np.mean([len(b.weights) for b in blocks]) for _, blocks in table.parts)
     best = benchmark.stats.stats.min if benchmark.stats else float("nan")
     benchmark.extra_info["ns_per_row_atom"] = 1e9 * best / (len(pdf) * atoms)
     np.testing.assert_allclose(got, violation_reference(constraint, pdf), rtol=0, atol=1e-12)

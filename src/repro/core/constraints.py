@@ -17,12 +17,11 @@ constraints as JSON.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from datetime import datetime
+from decimal import Decimal
 from typing import Any, Union
 
 import numpy as np
 import pandas as pd
-from pyspark.sql.types import DataType, FloatType, IntegralType
 
 #: Floor applied to sigma when used as the scaling factor alpha = 1/sigma.
 #: The paper sets alpha to "a large positive number" when sigma = 0; the floor
@@ -85,59 +84,69 @@ class SimpleConstraint:
 
 @dataclass(frozen=True)
 class DisjunctiveConstraint:
-    """One psi_A: ``OR((attr = v) ▷ branches[v], ...)``.
+    """One psi_A: ``OR((attr = v) ▷ branches[branch_key(v)], ...)``.
 
-    Branch keys are ``branch_key`` of the attribute values, which is what
-    ``CAST(attr AS STRING)`` gives in Spark and DuckDB, so every engine
-    compares the same strings.  A tuple whose attribute value matches no
-    branch, null included, gets violation 1 (paper: ``simp`` undefined).
-    """
+    ``attr_type`` is the switch's Spark ``simpleString()`` at discovery
+    (``"bigint"``, ``"decimal(10,2)"``, ...).  Every engine matches a tuple's
+    switch value against the keys parsed in that type (``branch_value``); a
+    tuple that matches none, null and NaN included, gets violation 1."""
 
     attr: str
+    attr_type: str
     branches: dict[str, SimpleConstraint] = field(default_factory=dict)
 
 
-def branch_key(v: Any) -> str | None:
-    """The branch key of one switch-attribute value, or None for null/NaN.
+#: Spark simple-type names of the integral types.
+INTEGRAL_TYPE_NAMES = frozenset({"tinyint", "smallint", "int", "bigint"})
 
-    Equals Spark's ``CAST(v AS STRING)`` for the values pandas hands over
-    for atomic switch attributes: booleans become ``"true"``/``"false"``,
-    floats print as Java does (shortest digits, ``"1.0E7"`` outside [1e-3,
-    1e7), where DuckDB differs), timestamps drop a zero fraction of a
-    second, everything else is ``str(v)``.
+
+def branch_key(v: Any) -> str | None:
+    """The display key of one switch-attribute value, or None for null/NaN.
+
+    ``str(v)``, except that booleans become ``"true"``/``"false"`` and
+    ``-0.0``, equal to ``0.0``, keys as ``"0.0"``; a float32 prints its own
+    shortest digits.  ``branch_value`` parses the key back to ``v``.
     """
-    if v is None or v is pd.NaT or (isinstance(v, (float, np.floating)) and np.isnan(v)):
+    if pd.isna(v):
         return None
     if isinstance(v, (bool, np.bool_)):
         return "true" if v else "false"
-    if isinstance(v, (float, np.floating)):  # Double.toString, Float.toString for float32
-        if np.isinf(v):
-            return "Infinity" if v > 0 else "-Infinity"
-        if v == 0 or 1e-3 <= abs(v) < 1e7:
-            return np.format_float_positional(v, unique=True, trim="0")
-        mantissa, exp = np.format_float_scientific(v, unique=True, trim="0").split("e")
-        return f"{mantissa}E{int(exp)}"
-    if isinstance(v, datetime):
-        s = v.strftime("%Y-%m-%d %H:%M:%S")
-        return f"{s}.{v.microsecond:06d}".rstrip("0") if v.microsecond else s
+    if isinstance(v, (float, np.floating)) and v == 0:
+        return "0.0"
     return str(v)
 
 
-def branch_keys(values: pd.Series | np.ndarray, spark_type: DataType | None = None) -> np.ndarray:
-    """``branch_key`` of every value, computed once per distinct value.
-
-    ``spark_type`` is the values' Spark type, when they come from a Spark
-    column: an integral column holding nulls reaches pandas as float64, and
-    its keys must still read ``"1"``, as ``CAST`` gives, not ``"1.0"``; a
-    float column's keys take float32's shortest digits (``"0.1"``), which
-    ``factorize``, widening to float64, would lose.
-    """
+def branch_keys(values: pd.Series | np.ndarray, attr_type: str) -> np.ndarray:
+    """``branch_key`` of every value of a switch column of Spark type
+    ``attr_type``, once per distinct value.  An integral column with nulls
+    reaches pandas as float64 but keys as ``"1"``; a float column keys with
+    float32's shortest digits (``"0.1"``), which ``factorize`` would widen."""
     codes, uniques = pd.factorize(values)
-    if isinstance(spark_type, IntegralType):
+    if attr_type in INTEGRAL_TYPE_NAMES:
         uniques = uniques.astype(np.int64)
-    elif isinstance(spark_type, FloatType):
+    elif attr_type == "float":
         uniques = np.asarray(uniques, dtype=np.float32)
     return np.array([branch_key(u) for u in uniques] + [None], dtype=object)[codes]
+
+
+def branch_value(key: str, attr_type: str) -> Any:
+    """The switch value of Spark type ``attr_type`` whose ``branch_key`` is
+    ``key``: the inverse of ``branch_key``, as ``CAST(key AS attr_type)``."""
+    if attr_type == "boolean":
+        return key == "true"
+    if attr_type in INTEGRAL_TYPE_NAMES:
+        return int(key)
+    if attr_type == "double":
+        return float(key)
+    if attr_type == "float":
+        return np.float32(key)
+    if attr_type.startswith("decimal"):
+        return Decimal(key)
+    if attr_type.startswith("timestamp"):
+        return pd.Timestamp(key)
+    if attr_type == "date":
+        return pd.Timestamp(key).date()
+    return key
 
 
 Constraint = Union[SimpleConstraint, DisjunctiveConstraint, "CompoundConstraint"]
@@ -178,6 +187,7 @@ def constraint_to_dict(c: Constraint) -> dict[str, Any]:
         return {
             "kind": "disjunctive",
             "attr": c.attr,
+            "attr_type": c.attr_type,
             "branches": {v: constraint_to_dict(s) for v, s in c.branches.items()},
         }
     if isinstance(c, CompoundConstraint):
@@ -207,6 +217,7 @@ def constraint_from_dict(d: dict[str, Any]) -> Constraint:
     if kind == "disjunctive":
         return DisjunctiveConstraint(
             attr=d["attr"],
+            attr_type=d["attr_type"],
             branches={v: constraint_from_dict(s) for v, s in d["branches"].items()},
         )
     if kind == "compound":

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
+import numpy as np
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as Fn
 from pyspark.sql.types import (
@@ -63,20 +64,24 @@ SWITCH_TYPES = (StringType, BooleanType, DateType, TimestampType, TimestampNTZTy
 
 
 def simple_from_gram(gram: GramResult, C: float = DEFAULT_C) -> SimpleConstraint:
-    """Build a simple constraint from a precomputed augmented Gram matrix."""
+    """Build a simple constraint from a precomputed moments record.  Sigma is
+    floored at float64's rounding of ``w . t`` near the training mean: on
+    columns far from 0 a narrower bound rejects the training data."""
     projections = derive_projections(gram)
     gammas = normalize_gammas([importance_raw(p.std) for p in projections])
+    ulp = len(gram.cols) * np.finfo(np.float64).eps
+    stds = [max(p.std, ulp * float(np.abs(p.weights) @ np.abs(gram.mean))) for p in projections]
     conjuncts = tuple(
         BoundedProjection(
             cols=p.cols,
             weights=p.weights,
             mean=p.mean,
-            std=p.std,
-            lb=p.mean - C * p.std,
-            ub=p.mean + C * p.std,
+            std=std,
+            lb=p.mean - C * std,
+            ub=p.mean + C * std,
             gamma=g,
         )
-        for p, g in zip(projections, gammas)
+        for p, g, std in zip(projections, gammas, stds)
     )
     return SimpleConstraint(
         conjuncts=conjuncts,
@@ -102,18 +107,20 @@ def discover_disjunctive(
 ) -> DisjunctiveConstraint:
     """Learn ``OR((attr = v) ▷ phi_v)`` with one grouped Gram pass over ``df``."""
     cols = list(cols) if cols is not None else [c for c in numeric_columns(df) if c != attr]
-    return disjunctive_from_grams(
-        attr, grouped_augmented_gram(df, attr, cols), C=C, min_partition_rows=min_partition_rows
-    )
+    grouped = grouped_augmented_gram(df, attr, cols)
+    attr_type = df.schema[attr].dataType.simpleString()
+    return disjunctive_from_grams(attr, attr_type, grouped, C, min_partition_rows)
 
 
 def disjunctive_from_grams(
     attr: str,
+    attr_type: str,
     grouped: dict[str, GramResult],
     C: float = DEFAULT_C,
     min_partition_rows: int = DEFAULT_MIN_PARTITION_ROWS,
 ) -> DisjunctiveConstraint:
-    """Build ``OR((attr = v) ▷ phi_v)`` from precomputed per-branch Grams."""
+    """Build ``OR((attr = v) ▷ phi_v)`` from precomputed per-branch Grams of
+    a switch of Spark type ``attr_type``."""
     branches = {
         v: (
             simple_from_gram(g, C=C)
@@ -126,7 +133,7 @@ def disjunctive_from_grams(
         )
         for v, g in grouped.items()
     }
-    return DisjunctiveConstraint(attr=attr, branches=branches)
+    return DisjunctiveConstraint(attr=attr, attr_type=attr_type, branches=branches)
 
 
 def switch_candidates(df: DataFrame, numeric_cols: Sequence[str]) -> list[str]:
@@ -198,9 +205,10 @@ def discover(
     if include_global or not attrs:
         parts.append(simple_from_gram(grams.total, C=C))
     for attr in attrs:
+        attr_type = df.schema[attr].dataType.simpleString()
         parts.append(
             disjunctive_from_grams(
-                attr, grams.grouped[attr], C=C, min_partition_rows=min_partition_rows
+                attr, attr_type, grams.grouped[attr], C=C, min_partition_rows=min_partition_rows
             )
         )
     return CompoundConstraint(parts=tuple(parts))

@@ -11,7 +11,7 @@ partial by partial on the driver, in partition order — which is the only
 place a covariance is formed.  Unlike raw sums ``Sum x x^T``, ``S`` does not
 cancel on columns far from 0 (epoch timestamps, say), so the projection
 ``F(t) = w . t`` gets ``mu(F) = w . mu`` and ``sigma(F) = sqrt(w^T S w / n)``
-with no further pass.  Algorithm 1's augmented Gram (``GramResult.g``),
+with no further pass.  Algorithm 1 (``projections.augmented_factor``),
 PCA-SPLL, CD and OLS all read this one record.  O(n m^2) work, O(m^2)
 driver memory.
 
@@ -28,16 +28,13 @@ from typing import Callable, Iterator, Mapping, Sequence
 import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame
-from pyspark.sql.types import DataType
 
-from repro.core.constraints import branch_keys
+from repro.core.constraints import INTEGRAL_TYPE_NAMES, branch_keys
 
 #: Spark simple-type names treated as numerical attributes (the paper's
 #: Algorithm 1 line 1 drops everything else). Dates, strings, booleans and
 #: complex types are excluded.
-NUMERIC_TYPE_NAMES = frozenset(
-    {"tinyint", "smallint", "int", "bigint", "float", "double"}
-)
+NUMERIC_TYPE_NAMES = INTEGRAL_TYPE_NAMES | {"float", "double"}
 
 
 def numeric_columns(df: DataFrame) -> list[str]:
@@ -54,13 +51,6 @@ class GramResult:
     n: int
     mean: np.ndarray
     scatter: np.ndarray
-
-    @property
-    def g(self) -> np.ndarray:
-        """Algorithm 1's augmented Gram ``[1|X]^T [1|X]``, rebuilt as
-        ``T^T [[n, 0], [0, S]] T`` with ``T = [[1, mean^T], [0, I]]``."""
-        n, mean = self.n, self.mean
-        return _square(n, n * mean, self.scatter + n * np.outer(mean, mean))
 
     def cov(self) -> np.ndarray:
         """Population covariance ``scatter / n`` (zero when ``n == 0``)."""
@@ -129,16 +119,17 @@ _TOTAL = (-1, None)
 def _partial_grams_fn(
     cols: list[str] | None,
     switches: dict[str, list[str]],
-    types: dict[str, DataType],
+    types: dict[str, str],
     max_keys: int | None,
 ) -> Callable[[Iterator[pd.DataFrame]], Iterator[pd.DataFrame]]:
     """The kernel of ``gram_pass``: every partial moments record of one
     Spark partition, merged batch by batch.
 
     Emits one row per record, ``g`` packed by ``_square``: ``s = -1`` for the
-    global one, ``s = i, v = key`` for branch ``key`` of the i-th switch.  A key
-    seen only on rows with a NaN feature has a null ``g``; a null ``v`` marks
-    a switch that saw more than ``max_keys`` keys in this partition.
+    global one, ``s = i, v = key`` for branch ``key`` of the i-th switch
+    (``branch_keys`` in its Spark type ``types[attr]``).  A key seen only on
+    rows with a NaN feature has a null ``g``; a null ``v`` marks a switch
+    that saw more than ``max_keys`` keys in this partition.
     """
     attrs = list(switches)
 
@@ -203,8 +194,8 @@ def gram_pass(
 
     ``cols`` are the columns of the global Gram (None: no global Gram);
     ``switches`` maps each switch attribute to the columns of its branch
-    Grams.  Branches are keyed by ``branch_key``: rows whose switch value is
-    null belong to no branch.  Rows with a NaN/null in a Gram's columns are
+    Grams.  A branch holds the rows with one switch value, keyed by its
+    ``branch_key``; null and NaN belong to no branch.  Rows with a NaN/null in a Gram's columns are
     left out of that Gram.  A switch with more than ``max_keys`` distinct
     keys, in one partition or in all of ``df``, is dropped; its partials stop
     growing as soon as one partition sees too many keys.
@@ -220,8 +211,9 @@ def gram_pass(
         if not cols:
             raise ValueError("a Gram pass needs at least one numerical column")
     needed = dict.fromkeys([*attrs, *(cols or []), *(c for bc in switches.values() for c in bc)])
+    types = {a: df.schema[a].dataType.simpleString() for a in attrs}
     partials = df.select(*needed).mapInPandas(
-        _partial_grams_fn(cols, switches, {a: df.schema[a].dataType for a in attrs}, max_keys),
+        _partial_grams_fn(cols, switches, types, max_keys),
         schema="s int, v string, n long, g array<double>",
     ).collect()
 

@@ -2,7 +2,10 @@
 
 Given the augmented Gram matrix ``G = [1|X]^T [1|X]`` (from ``repro.core.gram``):
 
-  line 3   compute the K = m+1 eigenvectors of ``G``;
+  line 3   compute the K = m+1 eigenvectors of ``G`` as the right singular
+            vectors of ``R`` with ``G = R^T R`` (``augmented_factor``): ``G``
+            squares ``R``'s condition number, and loses low-variance
+            directions on columns far from 0;
   lines 5-6 drop the first (intercept) element of each eigenvector and
             normalize the rest to a unit vector — that unit vector defines a
             linear projection ``F_k(t) = t . w_k``;
@@ -48,21 +51,33 @@ def importance_raw(std: float) -> float:
     return 1.0 / float(np.log(2.0 + max(std, 0.0)))
 
 
-def derive_projections(gram: GramResult) -> list[Projection]:
-    """Run Algorithm 1 on a precomputed augmented Gram matrix.
+def augmented_factor(gram: GramResult) -> np.ndarray:
+    """``R = [[sqrt(n), sqrt(n) mean^T], [0, S^1/2]]``, so ``R^T R`` is the
+    augmented Gram ``[1|X]^T [1|X]``; ``S^1/2 = diag(sqrt(lambda)) V^T`` from
+    ``eigh(S)``, with eigenvalues that rounding took below 0 clipped at 0."""
+    lam, v = np.linalg.eigh(gram.scatter)
+    root_s = np.sqrt(np.clip(lam, 0.0, None))[:, None] * v.T
+    top = np.sqrt(gram.n) * np.concatenate([[1.0], gram.mean])
+    return np.vstack([top, np.hstack([np.zeros((len(lam), 1)), root_s])])
 
-    Returns projections sorted by ascending eigenvalue (low variance first).
-    Requires no further data passes: moments come from the Gram matrix.
+
+def derive_projections(gram: GramResult) -> list[Projection]:
+    """Run Algorithm 1 on a precomputed moments record.
+
+    Returns projections sorted by ascending eigenvalue (low variance first),
+    each with its largest-magnitude weight positive (a flipped sign swaps lb
+    and ub and scores the same).  Requires no further data passes: moments
+    come from the record.
     """
-    eigvals, eigvecs = np.linalg.eigh(gram.g)
+    _, sing, vt = np.linalg.svd(augmented_factor(gram))
     out: list[Projection] = []
-    for k in range(len(eigvals)):
-        v = eigvecs[:, k]
-        w = v[1:]
+    for k in reversed(range(len(sing))):
+        w = vt[k, 1:]
         norm = float(np.linalg.norm(w))
         if norm < _MIN_RESIDUAL_NORM:
             continue
         w = w / norm
+        w = w * np.sign(w[np.argmax(np.abs(w))])
         mean, std = gram.projection_moments(w)
         out.append(
             Projection(
@@ -70,7 +85,7 @@ def derive_projections(gram: GramResult) -> list[Projection]:
                 weights=tuple(float(x) for x in w),
                 mean=mean,
                 std=std,
-                eigenvalue=float(eigvals[k]),
+                eigenvalue=float(sing[k] ** 2),
             )
         )
     return out

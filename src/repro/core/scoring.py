@@ -20,24 +20,29 @@ eta = 1: the constraint cannot vouch for the tuple, as for a null switch value.
 * ``violation_col`` — the same text in Spark's dialect, as a Catalyst column
   (``engine="catalyst"`` and ``tml.flag_non_conforming``), so the oracle
   checks the expression Spark runs.
+
+A disjunctive part matches a tuple's switch value to a branch by value: its
+keys are parsed once into values of the recorded switch type and matched with
+``pd.Index.get_indexer`` (numpy, ExTuNe) or ``attr = CAST('<key>' AS <type>)``
+(SQL), so a bigint branch "1" matches 1.0 in a double column.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 import pandas as pd
 from pyspark.sql import Column, DataFrame
 from pyspark.sql import functions as Fn
-from pyspark.sql.types import DataType, DoubleType, StructField, StructType
+from pyspark.sql.types import DoubleType, StructField, StructType
 
 from repro.core.constraints import (
     CompoundConstraint,
     Constraint,
     DisjunctiveConstraint,
     SimpleConstraint,
-    branch_keys,
+    branch_value,
 )
 
 
@@ -59,42 +64,50 @@ class Block:
 
 
 @dataclass(frozen=True)
+class Switch:
+    """The switch of a disjunctive part: attribute ``attr`` of Spark type
+    ``type``, its branch ``keys`` and their ``values`` in that type."""
+
+    attr: str
+    type: str
+    keys: tuple[str, ...]
+    values: pd.Index
+
+    def branch(self, pdf: pd.DataFrame) -> np.ndarray:
+        """Each row's branch index, -1 for none (null, NaN, unseen value)."""
+        return self.values.get_indexer(pdf[self.attr])
+
+
+@dataclass(frozen=True)
 class AtomTable:
     """A constraint compiled for evaluation, over numeric ``cols``.
 
-    Each part of the outer conjunction is ``(attr, blocks)``: a simple part
-    has ``attr`` None and its one block under key None; a disjunctive part
-    has one block per branch key of its switch ``attr``.  A tuple whose key
-    has no block scores ``weight`` (1/|parts|) on the part.
+    Each part of the outer conjunction is ``(switch, blocks)``: a simple part
+    has ``switch`` None and one block; a disjunctive part has one block per
+    branch, in the order of ``switch.keys``.  A tuple that matches no branch
+    scores ``weight`` (1/|parts|) on the part.
     """
 
     cols: tuple[str, ...]
     weight: float
-    parts: tuple[tuple[str | None, dict[str | None, Block]], ...]
+    parts: tuple[tuple[Switch | None, tuple[Block, ...]], ...]
 
     @property
-    def switch(self) -> tuple[str, ...]:
-        """The switch attributes of the disjunctive parts."""
-        return tuple(dict.fromkeys(attr for attr, _ in self.parts if attr is not None))
+    def switches(self) -> tuple[Switch, ...]:
+        """The switches of the disjunctive parts."""
+        return tuple(sw for sw, _ in self.parts if sw is not None)
 
-    def violation(
-        self, pdf: pd.DataFrame, types: Mapping[str, DataType] | None = None
-    ) -> np.ndarray:
-        """[[c]](t) for every row of ``pdf``.
-
-        ``types`` maps column names to their Spark types when ``pdf`` is a
-        batch of a Spark DataFrame; switch attributes are keyed with them.
-        """
+    def violation(self, pdf: pd.DataFrame) -> np.ndarray:
+        """[[c]](t) for every row of ``pdf``."""
         x = pdf[list(self.cols)].to_numpy(dtype=np.float64)
         out = np.zeros(len(pdf))
-        for attr, blocks in self.parts:
-            if attr is None:
-                out += eta_sum(blocks[None], x @ blocks[None].weights.T)
+        for sw, blocks in self.parts:
+            if sw is None:
+                out += eta_sum(blocks[0], x @ blocks[0].weights.T)
                 continue
             v = np.full(len(pdf), self.weight)
-            keys = branch_keys(pdf[attr], (types or {}).get(attr))
-            branch = pd.Index(list(blocks)).get_indexer(keys)
-            for j, b in enumerate(blocks.values()):
+            branch = sw.branch(pdf)
+            for j, b in enumerate(blocks):
                 rows = np.flatnonzero(branch == j)
                 if len(rows):
                     v[rows] = eta_sum(b, x[rows] @ b.weights.T)
@@ -108,12 +121,16 @@ def compile_constraint(c: Constraint, cols: Sequence[str] | None = None) -> Atom
     if not isinstance(c, (SimpleConstraint, DisjunctiveConstraint, CompoundConstraint)):
         raise TypeError(f"not a constraint: {type(c)!r}")
     parts = c.parts if isinstance(c, CompoundConstraint) else (c,)
-    switched = [
-        (p.attr, p.branches) if isinstance(p, DisjunctiveConstraint) else (None, {None: p})
-        for p in parts
-    ]
+
+    def part(p: Constraint) -> tuple[Switch | None, tuple[SimpleConstraint, ...]]:
+        if not isinstance(p, DisjunctiveConstraint):
+            return None, (p,)
+        values = pd.Index([branch_value(k, p.attr_type) for k in p.branches])
+        return Switch(p.attr, p.attr_type, tuple(p.branches), values), tuple(p.branches.values())
+
+    switched = [part(p) for p in parts]
     if cols is None:
-        cols = [n for _, br in switched for s in br.values() for b in s.conjuncts for n in b.cols]
+        cols = [n for _, br in switched for s in br for b in s.conjuncts for n in b.cols]
     cols = tuple(dict.fromkeys(cols))
     idx = {name: i for i, name in enumerate(cols)}
     weight = 1.0 / len(parts) if parts else 1.0
@@ -129,7 +146,7 @@ def compile_constraint(c: Constraint, cols: Sequence[str] | None = None) -> Atom
         means = np.asarray(s.col_means, dtype=np.float64)
         return Block(w, lb, ub, alpha, coef, means if len(means) == len(cols) else None)
 
-    blocks = tuple((attr, {k: block(s) for k, s in br.items()}) for attr, br in switched)
+    blocks = tuple((sw, tuple(block(s) for s in br)) for sw, br in switched)
     return AtomTable(cols=cols, weight=weight, parts=blocks)
 
 
@@ -147,11 +164,9 @@ def eta_sum(b: Block, p: np.ndarray) -> np.ndarray:
     return t.sum(axis=-1)
 
 
-def violation_numpy(
-    c: Constraint, pdf: pd.DataFrame, types: Mapping[str, DataType] | None = None
-) -> np.ndarray:
+def violation_numpy(c: Constraint, pdf: pd.DataFrame) -> np.ndarray:
     """[[c]](t) for every row of a pandas frame (see ``AtomTable.violation``)."""
-    return compile_constraint(c).violation(pdf, types)
+    return compile_constraint(c).violation(pdf)
 
 
 def _quote(s: str, q: str) -> str:
@@ -181,12 +196,14 @@ def _sql(t: AtomTable, spark: bool) -> str:
         return "(" + " + ".join(atoms) + ")" if len(b.weights) else "0.0"
 
     terms = []
-    for attr, blocks in t.parts:
-        if attr is None:
-            terms.append(block(blocks[None]))
+    for sw, blocks in t.parts:
+        if sw is None:
+            terms.append(block(blocks[0]))
             continue
-        key = f"CAST({ident(attr)} AS STRING)"
-        whens = "".join(f"WHEN {key} = {string(k)} THEN {block(b)} " for k, b in blocks.items())
+        whens = "".join(
+            f"WHEN {ident(sw.attr)} = CAST({string(k)} AS {sw.type}) THEN {block(b)} "
+            for k, b in zip(sw.keys, blocks)
+        )
         terms.append(f"(CASE {whens}ELSE {t.weight!r} END)")
     return "(" + " + ".join(terms) + ")" if terms else "0.0"
 
@@ -199,10 +216,6 @@ def violation_sql(c: Constraint) -> str:
 def violation_col(c: Constraint) -> Column:
     """[[c]] as a Catalyst column: ``violation_sql``'s walk in Spark's dialect."""
     return Fn.expr(_sql(compile_constraint(c), spark=True)).cast("double")
-
-
-def _types(df: DataFrame) -> dict[str, DataType]:
-    return {f.name: f.dataType for f in df.schema.fields}
 
 
 def score(
@@ -224,12 +237,11 @@ def score(
         raise ValueError(f"unknown engine {engine!r}")
     table = compile_constraint(c)
     out_schema = StructType(df.schema.fields + [StructField(col_name, DoubleType())])
-    types = _types(df)
 
     def fn(batches):
         for pdf in batches:
             pdf = pdf.copy()
-            pdf[col_name] = table.violation(pdf, types)
+            pdf[col_name] = table.violation(pdf)
             yield pdf
 
     return df.mapInPandas(fn, schema=out_schema)
@@ -243,18 +255,17 @@ def average_violation(df: DataFrame, c: Constraint, engine: str = "pandas") -> f
     if engine != "pandas":
         raise ValueError(f"unknown engine {engine!r}")
     table = compile_constraint(c)
-    types = _types(df)
 
     def fn(batches):
         total = 0.0
         n = 0
         for pdf in batches:
-            v = table.violation(pdf, types)
+            v = table.violation(pdf)
             total += float(v.sum())
             n += len(v)
         yield pd.DataFrame({"total": [total], "n": [n]})
 
-    needed = list(dict.fromkeys([*table.switch, *table.cols]))
+    needed = list(dict.fromkeys([*(sw.attr for sw in table.switches), *table.cols]))
     partials = df.select(*needed).mapInPandas(fn, schema="total double, n long").collect()
     n = sum(r["n"] for r in partials)
     return sum(r["total"] for r in partials) / n if n else 0.0

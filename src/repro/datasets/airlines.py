@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
 
 GAP_MEAN = 5.0
 GAP_STD = 30.0  # wide enough that OLS pins the gap coefficient at our scale
@@ -136,7 +135,3 @@ def splits_pdf(
         "overnight": airlines_pdf(n_test, overnight_frac=1.0, seed=seed + 2),
         "mixed": airlines_pdf(n_test, overnight_frac=mixed_overnight_frac, seed=seed + 3),
     }
-
-
-def airlines(spark: SparkSession, n: int = 10_000, **kw) -> DataFrame:
-    return spark.createDataFrame(airlines_pdf(n, **kw))

@@ -22,7 +22,6 @@ from typing import Callable
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
 
 #: mode path: t in [0,1] -> center (np.ndarray of the dataset's dimension)
 Path = Callable[[float], np.ndarray]
@@ -44,19 +43,6 @@ def _orbit(center: tuple, radius: float, angle0: float, turns: float) -> Path:
     def path(t: float) -> np.ndarray:
         th = angle0 + 2 * np.pi * turns * t
         return c + radius * np.array([np.cos(th), np.sin(th)])
-
-    return path
-
-
-def _orbit_expand(
-    center: tuple, r0: float, r1: float, angle0: float, turns: float
-) -> Path:
-    c = np.asarray(center, float)
-
-    def path(t: float) -> np.ndarray:
-        th = angle0 + 2 * np.pi * turns * t
-        r = r0 + t * (r1 - r0)
-        return c + r * np.array([np.cos(th), np.sin(th)])
 
     return path
 
@@ -247,7 +233,3 @@ def zlib_seed(name: str) -> int:
     import zlib
 
     return zlib.crc32(name.encode())
-
-
-def evl_window(spark: SparkSession, name: str, t: float, n_per_class: int = 300, seed: int = 0) -> DataFrame:
-    return spark.createDataFrame(evl_window_pdf(name, t, n_per_class, seed=seed))

@@ -23,7 +23,6 @@ import zlib
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
 
 SENSORS = ["acc", "gyr"]
 LOCATIONS = ["head", "shin", "thigh", "upperarm", "waist", "chest"]
@@ -136,7 +135,3 @@ def har_pdf(
         [har_cell_pdf(p, a, n_per_cell, seed=seed) for p in persons for a in activities],
         ignore_index=True,
     )
-
-
-def har(spark: SparkSession, n_per_cell: int = 200, **kw) -> DataFrame:
-    return spark.createDataFrame(har_pdf(n_per_cell, **kw))

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
 
 #: seven-segment encoding: digit -> segments 1..7 (a,b,c,d,e,f,g)
 SEGMENTS = {
@@ -70,7 +69,3 @@ def malfunctioning_leds(window: int, windows_per_phase: int = 5) -> tuple[int, .
     """The planted ground truth for a window (for assertions in tests)."""
     phase = min(window // windows_per_phase, len(MALFUNCTION_PHASES) - 1)
     return MALFUNCTION_PHASES[phase]
-
-
-def led_window(spark: SparkSession, window: int, n: int = 5000, **kw) -> DataFrame:
-    return spark.createDataFrame(led_window_pdf(window, n=n, **kw))

@@ -30,15 +30,14 @@ tuple's responsibilities never depend on the other tuples of its batch.
 from __future__ import annotations
 
 from functools import cache
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame
-from pyspark.sql.types import DataType
 
-from repro.core.constraints import Constraint, branch_keys
-from repro.core.scoring import AtomTable, Block, compile_constraint, eta_sum
+from repro.core.constraints import Constraint
+from repro.core.scoring import AtomTable, Block, Switch, compile_constraint, eta_sum
 
 _EPS = 1e-9
 #: Most candidate projection values (searches x m x K) one round of the
@@ -119,30 +118,30 @@ def _batch_responsibilities(
     pdf: pd.DataFrame,
     group: Callable[[tuple], tuple[Block, float]],
     cols: list[str],
-    switch: Mapping[str, DataType],
+    switches: Sequence[Switch],
     eps: float,
     max_steps: int,
 ) -> np.ndarray:
     """(B, m) responsibilities for one pandas batch.
 
-    ``group`` gives the atoms and constant of a tuple of branch keys, one per
-    attribute of ``switch`` (attribute -> its Spark type).
+    ``group`` gives the atoms and constant of a tuple of branch indices, one
+    per switch in ``switches`` (-1: no branch).
     """
     x = pdf[cols].to_numpy(dtype=np.float64)
-    if not switch:
+    if not switches:
         return _greedy_group(*group(()), x, eps, max_steps)
     out = np.zeros(x.shape)
-    keys = [branch_keys(pdf[s], t) for s, t in switch.items()]
-    for key, idx in pdf.groupby(keys, sort=False, dropna=False).indices.items():
+    codes = [sw.branch(pdf) for sw in switches]
+    for key, idx in pdf.groupby(codes, sort=False).indices.items():
         key = key if isinstance(key, tuple) else (key,)
         out[idx] = _greedy_group(*group(key), x[idx], eps, max_steps)
     return out
 
 
 def _grouper(table: AtomTable, means: np.ndarray) -> Callable[[tuple], tuple[Block, float]]:
-    """The blocks that tuples with branch keys ``key`` (one per
-    ``table.switch``) meet, concatenated, and the weight of the parts with no
-    block for them; memoized, so each key tuple is built once per Spark task.
+    """The blocks that tuples with branch indices ``key`` (one per switch)
+    meet, concatenated, and the weight of the parts with no block for them;
+    memoized, so each key tuple is built once per Spark task.
 
     The intervention targets are the first matched branch's means, else the
     simple part's, else ``means``.
@@ -150,15 +149,16 @@ def _grouper(table: AtomTable, means: np.ndarray) -> Callable[[tuple], tuple[Blo
 
     @cache
     def group(key: tuple) -> tuple[Block, float]:
-        keys = dict(zip(table.switch, key))
+        branches = iter(key)
         blocks, const, branch_means, simple_means = [], 0.0, [], []
-        for attr, part in table.parts:
-            b = part.get(keys.get(attr))
-            if b is None:
-                const += table.weight  # unseen or null key: permanently violated part
+        for sw, part in table.parts:
+            j = 0 if sw is None else int(next(branches))
+            if j < 0:
+                const += table.weight  # unseen or null value: permanently violated part
                 continue
+            b = part[j]
             blocks.append(b)
-            (simple_means if attr is None else branch_means).append(b.col_means)
+            (simple_means if sw is None else branch_means).append(b.col_means)
         fix = next(m for m in [*branch_means, *simple_means, means] if m is not None)
         empty = Block(np.zeros((0, len(table.cols))), *[np.zeros(0)] * 4)
         fields = ("weights", "lb", "ub", "alpha", "coef")
@@ -182,18 +182,17 @@ def responsibilities(
     """
     cols = list(cols)
     table = compile_constraint(constraint, cols)
-    switch = {s: df.schema[s].dataType for s in table.switch}
-    recorded = [b.col_means for _, p in table.parts for b in p.values() if b.col_means is not None]
+    recorded = [b.col_means for _, p in table.parts for b in p if b.col_means is not None]
     if not recorded:
         raise ValueError("cannot derive intervention targets: constraint records no col_means")
-    needed = list(dict.fromkeys([*switch, *cols]))
+    needed = list(dict.fromkeys([*(sw.attr for sw in table.switches), *cols]))
 
     def fn(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
         group = _grouper(table, recorded[0])
         sums = np.zeros(len(cols))
         n = 0
         for pdf in batches:
-            r = _batch_responsibilities(pdf, group, cols, switch, eps, max_steps)
+            r = _batch_responsibilities(pdf, group, cols, table.switches, eps, max_steps)
             sums += r.sum(axis=0)
             n += len(pdf)
         yield pd.DataFrame({"n": [n], "sums": [sums.tolist()]})

@@ -2,11 +2,8 @@
 reference implementations that the scorer and ExTuNe are checked against."""
 from __future__ import annotations
 
-from typing import Mapping
-
 import numpy as np
 import pandas as pd
-from pyspark.sql.types import DataType
 
 from repro.core.constraints import (
     BoundedProjection,
@@ -14,10 +11,10 @@ from repro.core.constraints import (
     Constraint,
     DisjunctiveConstraint,
     SimpleConstraint,
-    branch_keys,
+    branch_value,
 )
 from repro.core.discovery import disjunctive_from_grams, simple_from_gram
-from repro.core.gram import GramResult, _partial_grams_fn, _unpack
+from repro.core.gram import GramResult, _partial_grams_fn, _square, _unpack
 
 
 def linear_pdf(
@@ -66,6 +63,12 @@ def numpy_aug_gram(pdf: pd.DataFrame, cols: list[str]) -> tuple[int, np.ndarray]
     return len(x), xa.T @ xa
 
 
+def augmented(r: GramResult) -> np.ndarray:
+    """Algorithm 1's augmented Gram ``[1|X]^T [1|X]`` rebuilt from a moments
+    record, as ``T^T [[n, 0], [0, S]] T`` with ``T = [[1, mean^T], [0, I]]``."""
+    return _square(r.n, r.n * r.mean, r.scatter + r.n * np.outer(r.mean, r.mean))
+
+
 def frame_moments(pdf: pd.DataFrame, cols: list[str]) -> GramResult:
     """Reference moments of ``pdf[cols]`` (count, mean, centered scatter),
     computed directly with numpy."""
@@ -87,9 +90,11 @@ def grouped_constraint(
     pdf: pd.DataFrame, attr: str, cols: list[str], include_global: bool = False
 ) -> CompoundConstraint:
     """``discover(df, cols, partition_attrs=[attr], include_global=...)`` for
-    a string or integer switch ``attr``, computed with numpy instead of Spark."""
+    a string, integer or double switch ``attr``, computed with numpy instead
+    of Spark."""
     grams = {str(k): frame_moments(part, cols) for k, part in pdf.groupby(attr)}
-    parts = (disjunctive_from_grams(attr, grams),)
+    attr_type = {"i": "bigint", "f": "double"}.get(pdf[attr].dtype.kind, "string")
+    parts = (disjunctive_from_grams(attr, attr_type, grams),)
     if include_global:
         parts = (simple_from_gram(frame_moments(pdf, cols)), *parts)
     return CompoundConstraint(parts=parts)
@@ -102,12 +107,10 @@ def _atom_reference(b: BoundedProjection, pdf: pd.DataFrame) -> np.ndarray:
     return 1.0 - np.exp(-b.alpha * dev)
 
 
-def violation_reference(
-    c: Constraint, pdf: pd.DataFrame, types: Mapping[str, DataType] | None = None
-) -> np.ndarray:
+def violation_reference(c: Constraint, pdf: pd.DataFrame) -> np.ndarray:
     """Reference for ``scoring.violation_numpy``: a walk of the constraint
     tree, one matrix-vector product per atom, for tuples without null or NaN
-    features."""
+    features.  A tuple takes the branch whose value its switch equals."""
     n = len(pdf)
     if isinstance(c, SimpleConstraint):
         out = np.zeros(n, dtype=np.float64)
@@ -116,9 +119,8 @@ def violation_reference(
         return out
     if isinstance(c, DisjunctiveConstraint):
         out = np.ones(n, dtype=np.float64)
-        keys = branch_keys(pdf[c.attr], (types or {}).get(c.attr))
-        for v, branch in c.branches.items():
-            mask = keys == v
+        for key, branch in c.branches.items():
+            mask = (pdf[c.attr] == branch_value(key, c.attr_type)).to_numpy()
             if mask.any():
                 out[mask] = violation_reference(branch, pdf.loc[mask])
         return out
@@ -127,7 +129,7 @@ def violation_reference(
             return np.zeros(n, dtype=np.float64)
         out = np.zeros(n, dtype=np.float64)
         for p in c.parts:
-            out += violation_reference(p, pdf, types)
+            out += violation_reference(p, pdf)
         return out / float(len(c.parts))
     raise TypeError(f"not a constraint: {type(c)!r}")
 

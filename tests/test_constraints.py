@@ -4,10 +4,10 @@ from __future__ import annotations
 import datetime
 from decimal import Decimal
 
+import duckdb
 import numpy as np
 import pandas as pd
 import pytest
-from pyspark.sql.types import FloatType
 
 from repro.core.constraints import (
     BoundedProjection,
@@ -17,6 +17,7 @@ from repro.core.constraints import (
     SimpleConstraint,
     branch_key,
     branch_keys,
+    branch_value,
     constraint_from_dict,
     constraint_to_dict,
     normalize_gammas,
@@ -71,11 +72,15 @@ def test_simple_cols():
     "constraint",
     [
         _simple(),
-        DisjunctiveConstraint(attr="g", branches={"x": _simple(), "y": SimpleConstraint(conjuncts=())}),
+        DisjunctiveConstraint(
+            attr="g",
+            attr_type="double",
+            branches={"0.5": _simple(), "1e+16": SimpleConstraint(conjuncts=())},
+        ),
         CompoundConstraint(
             parts=(
                 _simple(),
-                DisjunctiveConstraint(attr="g", branches={"x": _simple()}),
+                DisjunctiveConstraint(attr="g", attr_type="string", branches={"x": _simple()}),
             )
         ),
     ],
@@ -88,8 +93,19 @@ def test_serialization_round_trip(constraint):
 def test_serialization_is_json_compatible():
     import json
 
-    c = CompoundConstraint(parts=(_simple(), DisjunctiveConstraint(attr="g", branches={"x": _simple()})))
+    disjunctive = DisjunctiveConstraint(attr="g", attr_type="string", branches={"x": _simple()})
+    c = CompoundConstraint(parts=(_simple(), disjunctive))
     assert constraint_from_dict(json.loads(json.dumps(constraint_to_dict(c)))) == c
+
+
+def test_from_dict_requires_the_switch_type():
+    """A disjunctive constraint's keys mean nothing without the switch type
+    they parse in, so a dict without it is rejected, not guessed."""
+    d = constraint_to_dict(DisjunctiveConstraint(attr="g", attr_type="bigint", branches={}))
+    assert d["attr_type"] == "bigint"
+    del d["attr_type"]
+    with pytest.raises(KeyError):
+        constraint_from_dict(d)
 
 
 def test_to_dict_rejects_non_constraint():
@@ -125,30 +141,88 @@ def test_normalize_gammas_empty_and_degenerate():
         (Decimal("1.50"), "1.50"),
         (datetime.date(2020, 1, 2), "2020-01-02"),
         (pd.Timestamp("2020-01-02 03:04:05"), "2020-01-02 03:04:05"),
-        (pd.Timestamp("2020-01-02 03:04:05.250"), "2020-01-02 03:04:05.25"),
+        (pd.Timestamp("2020-01-02 03:04:05.250"), "2020-01-02 03:04:05.250000"),
         (None, None),
         (np.nan, None),
         (pd.NaT, None),
-        (1e7, "1.0E7"),
-        (1e-4, "1.0E-4"),
-        (-123456789.0, "-1.23456789E8"),
+        (1e7, "10000000.0"),
+        (1e-4, "0.0001"),
+        (-123456789.0, "-123456789.0"),
         (np.float32(0.1), "0.1"),
-        (float("inf"), "Infinity"),
+        (float("inf"), "inf"),
+        (-0.0, "0.0"),
+        (np.float32(-0.0), "0.0"),
+        (1e16, "1e+16"),
+        (5e-324, "5e-324"),
+        (np.float32(123456790.0), "123456790.0"),
     ],
 )
 def test_branch_key_matches_cast_as_string(value, key):
-    """Spark's CAST(value AS STRING), which DuckDB's matches except on floats
-    outside [1e-3, 1e7); null has no key."""
+    """The display key of a switch value.  For strings, integers, booleans,
+    decimals, dates and whole-second timestamps it is Spark's CAST(value AS
+    STRING), so their keys (and the results tables) read as Spark prints
+    them; floats take Python's shortest digits, -0.0 keys as "0.0" (it
+    equals 0.0), timestamps print as pandas prints them; null has no key."""
     assert branch_key(value) == key
 
 
+_TYPED_VALUES = [
+    ("g0", "string"),
+    ("O'Hare", "string"),
+    (True, "boolean"),
+    (False, "boolean"),
+    (3, "bigint"),
+    (-7, "int"),
+    (2.5, "double"),
+    (-0.0, "double"),
+    (1e7, "double"),
+    (1e-4, "double"),
+    (-123456789.0, "double"),
+    (1e16, "double"),
+    (5e-324, "double"),
+    (1.2345678901234566e17, "double"),
+    (float("inf"), "double"),
+    (float("-inf"), "double"),
+    (np.float32(0.1), "float"),
+    (np.float32(7.5e7), "float"),
+    (np.float32(123456790.0), "float"),
+    (np.float32(1.2573022e-10), "float"),
+    (Decimal("1.50"), "decimal(10,2)"),
+    (datetime.date(2020, 1, 2), "date"),
+    (pd.Timestamp("2020-01-02 03:04:05"), "timestamp"),
+    (pd.Timestamp("2020-01-02 03:04:05.250"), "timestamp"),
+]
+
+
+def test_branch_key_round_trips(spark):
+    """``CAST(branch_key(v) AS type)`` is ``v`` in Spark and in DuckDB, and
+    ``branch_value`` parses the key back to ``v``: every engine matches a
+    branch by the value it was learned on."""
+    keys = [branch_key(v) for v, _ in _TYPED_VALUES]
+    casts = ", ".join(
+        f"CAST('{k.replace(chr(39), chr(39) * 2)}' AS {t}) AS c{i}"
+        for i, (k, (_, t)) in enumerate(zip(keys, _TYPED_VALUES))
+    )
+    in_spark = list(spark.sql(f"SELECT {casts}").first())
+    con = duckdb.connect()
+    try:
+        in_duckdb = list(con.execute(f"SELECT {casts}").fetchone())
+    finally:
+        con.close()
+    for (v, t), k, s, d in zip(_TYPED_VALUES, keys, in_spark, in_duckdb):
+        assert branch_value(k, t) == v and type(branch_value(k, t)) is type(v), (v, t, k)
+        assert s == v, (v, t, k, s)
+        assert d == v, (v, t, k, d)
+
+
 def test_branch_keys_vectorized():
-    keys = branch_keys(pd.Series([True, None, False, True], dtype=object))
+    keys = branch_keys(pd.Series([True, None, False, True], dtype=object), "boolean")
     assert keys.tolist() == ["true", None, "false", "true"]
 
 
 def test_branch_keys_of_a_float_column():
-    """Spark's CAST prints a float (float32) with its own shortest digits."""
+    """A float (float32) column keys with float32's own shortest digits,
+    which ``factorize``, widening to float64, would lose."""
     values = pd.Series(np.array([0.1, 1e7, np.nan, 1.2573022e-10], dtype=np.float32))
-    keys = branch_keys(values, FloatType())
-    assert keys.tolist() == ["0.1", "1.0E7", None, "1.2573022E-10"]
+    keys = branch_keys(values, "float")
+    assert keys.tolist() == ["0.1", "10000000.0", None, "1.2573022e-10"]

@@ -197,7 +197,7 @@ def test_col_means_recorded(spark):
 def test_only_atomic_non_numeric_columns_are_switch_candidates(spark):
     """Array, map, struct and binary columns are never auto-selected, however
     few values they take; strings, booleans, dates and timestamps are, and
-    every engine keys their branches the same way."""
+    every engine matches their branches the same way."""
     pdf = piecewise_pdf(n_per=60, seed=15)
     day = {"g0": "2020-01-01 08:00:00", "g1": "2020-01-02 09:30:00.5", "g2": "2020-01-03 00:00:00"}
     pdf["when"] = pd.to_datetime(pdf["grp"].map(day), format="ISO8601")
@@ -214,7 +214,7 @@ def test_only_atomic_non_numeric_columns_are_switch_candidates(spark):
     c = discover(df)
     assert [p.attr for p in c.parts[1:]] == ["grp", "when", "day"]
     assert set(c.parts[2].branches) == {
-        "2020-01-01 08:00:00", "2020-01-02 09:30:00.5", "2020-01-03 00:00:00"
+        "2020-01-01 08:00:00", "2020-01-02 09:30:00.500000", "2020-01-03 00:00:00"
     }
     assert average_violation(df, c, engine="pandas") == pytest.approx(
         average_violation(df, c, engine="catalyst"), rel=1e-9

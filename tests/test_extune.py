@@ -4,7 +4,6 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 import pytest
-from pyspark.sql.types import LongType
 
 from repro.core.discovery import discover, discover_simple
 from repro.core.scoring import Block, compile_constraint
@@ -100,7 +99,7 @@ def test_unseen_branch_value_capped_not_crashing(spark):
 
 
 def test_boolean_switch_branches_found(spark):
-    """ExTuNe keys tuples with the discovery's ``branch_key``: training
+    """ExTuNe matches tuples to branches by the switch value: training
     tuples of a boolean switch find their branch and get ~no responsibility
     (an unmatched key would give every attribute a capped 1/(max_steps+1))."""
     pdf = piecewise_pdf(n_per=200, seed=12)
@@ -231,7 +230,7 @@ def test_led_batch_matches_reference(monkeypatch):
     def run() -> np.ndarray:
         group = extune._grouper(table, np.zeros(len(cols)))
         return extune._batch_responsibilities(
-            batch, group, cols, {"digit": LongType()}, extune._EPS, 8
+            batch, group, cols, table.switches, extune._EPS, 8
         )
 
     got = run()

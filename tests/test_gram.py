@@ -13,8 +13,10 @@ from repro.core.gram import (
     grouped_augmented_gram,
     numeric_columns,
 )
+from repro.core.projections import augmented_factor
 from repro.oracle import assert_equivalent
 from tests.helpers import (
+    augmented,
     frame_moments,
     linear_pdf,
     numpy_aug_gram,
@@ -30,7 +32,9 @@ def test_gram_matches_numpy(spark, n, seed):
     res = augmented_gram(df, ["a", "b", "c"])
     n_ref, g_ref = numpy_aug_gram(pdf, ["a", "b", "c"])
     assert res.n == n_ref
-    np.testing.assert_allclose(res.g, g_ref, rtol=1e-9, atol=1e-6)
+    np.testing.assert_allclose(augmented(res), g_ref, rtol=1e-9, atol=1e-6)
+    r = augmented_factor(res)
+    np.testing.assert_allclose(r.T @ r, g_ref, rtol=1e-9, atol=1e-6)
 
 
 @pytest.mark.parametrize(
@@ -49,7 +53,7 @@ def test_gram_partition_invariant(spark, parts, offset):
     df = spark.createDataFrame(pdf).repartition(parts)
     res = augmented_gram(df, cols)
     _, g_ref = numpy_aug_gram(pdf, cols)
-    np.testing.assert_allclose(res.g, g_ref, rtol=1e-9, atol=1e-6)
+    np.testing.assert_allclose(augmented(res), g_ref, rtol=1e-9, atol=1e-6)
     ref = frame_moments(pdf, cols)
     np.testing.assert_allclose(res.mean, ref.mean, rtol=1e-9)
     np.testing.assert_allclose(res.cov(), ref.cov(), rtol=1e-9)
@@ -74,9 +78,12 @@ def test_gram_default_columns(spark):
 def test_gram_is_symmetric_psd(spark):
     df = spark.createDataFrame(linear_pdf(n=300, seed=5))
     res = augmented_gram(df, ["a", "b", "c"])
-    np.testing.assert_allclose(res.g, res.g.T)
-    eigvals = np.linalg.eigvalsh(res.g)
+    g = augmented(res)
+    np.testing.assert_allclose(g, g.T)
+    eigvals = np.linalg.eigvalsh(g)
     assert eigvals.min() >= -1e-6
+    r = augmented_factor(res)
+    np.testing.assert_allclose(r.T @ r, g, rtol=1e-9, atol=1e-6)
 
 
 def test_gram_drops_nan_rows(spark):
@@ -87,7 +94,7 @@ def test_gram_drops_nan_rows(spark):
     clean = pdf.dropna()
     n_ref, g_ref = numpy_aug_gram(clean, ["a", "b", "c"])
     assert res.n == n_ref
-    np.testing.assert_allclose(res.g, g_ref, rtol=1e-9, atol=1e-6)
+    np.testing.assert_allclose(augmented(res), g_ref, rtol=1e-9, atol=1e-6)
     # An empty record merges as a no-op, and a partition whose rows all have
     # a NaN changes nothing.
     r = _moments_of(clean[["a", "b", "c"]].to_numpy())
@@ -118,7 +125,7 @@ def test_gram_entries_against_duckdb_oracle(spark):
     for offset in (0.0, 1e7):
         pdf = linear_pdf(n=250, seed=8) + offset
         res = augmented_gram(spark.createDataFrame(pdf).repartition(3), ["a", "b"])
-        g, cov = res.g, res.cov()
+        g, cov = augmented(res), res.cov()
         got = {
             "n": float(res.n),
             "sum_a": g[0, 1],
@@ -178,16 +185,16 @@ def test_grouped_gram_matches_per_group_numpy(spark):
         sub = pdf[pdf.grp == v]
         n_ref, g_ref = numpy_aug_gram(sub, ["x", "y"])
         assert res.n == n_ref
-        np.testing.assert_allclose(res.g, g_ref, rtol=1e-9, atol=1e-6)
+        np.testing.assert_allclose(augmented(res), g_ref, rtol=1e-9, atol=1e-6)
 
 
 def test_grouped_gram_sums_to_global(spark):
     pdf = piecewise_pdf(n_per=80, seed=13)
     df = spark.createDataFrame(pdf)
     grouped = grouped_augmented_gram(df, "grp", ["x", "y"])
-    total = sum(r.g for r in grouped.values())
+    total = sum(augmented(r) for r in grouped.values())
     res = augmented_gram(df, ["x", "y"])
-    np.testing.assert_allclose(total, res.g, rtol=1e-9, atol=1e-6)
+    np.testing.assert_allclose(total, augmented(res), rtol=1e-9, atol=1e-6)
     assert sum(r.n for r in grouped.values()) == res.n
 
 

@@ -16,6 +16,8 @@ from repro.core.constraints import (
     CompoundConstraint,
     DisjunctiveConstraint,
     SimpleConstraint,
+    constraint_from_dict,
+    constraint_to_dict,
 )
 from repro.core.discovery import discover
 from repro.core.scoring import (
@@ -25,6 +27,7 @@ from repro.core.scoring import (
     violation_numpy,
     violation_sql,
 )
+from repro.explain.extune import responsibilities
 from repro.oracle import assert_equivalent
 from tests.helpers import linear_pdf, piecewise_pdf, violation_reference
 
@@ -99,7 +102,7 @@ def test_pandas_engine_matches_duckdb_oracle_compound(spark):
     c = CompoundConstraint(
         parts=(
             _random_simple(12),
-            DisjunctiveConstraint(attr="g", branches=branches),
+            DisjunctiveConstraint(attr="g", attr_type="string", branches=branches),
         )
     )
     pdf = _pdf(90, n=120)
@@ -113,7 +116,8 @@ def test_pandas_engine_matches_duckdb_oracle_compound(spark):
 
 
 def test_numpy_matches_catalyst_disjunctive_with_int_keys(spark):
-    c = DisjunctiveConstraint(attr="k", branches={"0": _random_simple(20), "1": _random_simple(21)})
+    branches = {"0": _random_simple(20), "1": _random_simple(21)}
+    c = DisjunctiveConstraint(attr="k", attr_type="bigint", branches=branches)
     pdf = _pdf(91, n=100)
     pdf["k"] = (np.arange(len(pdf)) % 3).astype("int64")  # value 2 unseen
     got = score(spark.createDataFrame(pdf), c).toPandas()
@@ -127,7 +131,10 @@ def test_pandas_and_catalyst_engines_agree(spark, seed):
     must produce identical scores (they are independent implementations)."""
     branches = {"u": _random_simple(60 + seed), "v": _random_simple(61 + seed)}
     c = CompoundConstraint(
-        parts=(_random_simple(62 + seed), DisjunctiveConstraint(attr="g", branches=branches))
+        parts=(
+            _random_simple(62 + seed),
+            DisjunctiveConstraint(attr="g", attr_type="string", branches=branches),
+        )
     )
     pdf = _pdf(63 + seed, n=150)
     pdf["g"] = np.where(np.arange(len(pdf)) % 2 == 0, "u", "v")
@@ -160,11 +167,11 @@ def test_score_rejects_unknown_engine(spark):
 def test_constraint_columns():
     def columns(c):
         t = compile_constraint(c)
-        return t.cols, t.switch
+        return t.cols, tuple(sw.attr for sw in t.switches)
 
     s = _random_simple(80)
     assert columns(s) == (("a", "b"), ())
-    d = DisjunctiveConstraint(attr="g", branches={"x": s})
+    d = DisjunctiveConstraint(attr="g", attr_type="string", branches={"x": s})
     assert columns(d) == (("a", "b"), ("g",))
     cc = CompoundConstraint(parts=(s, d))
     assert columns(cc) == (("a", "b"), ("g",))
@@ -196,7 +203,8 @@ def _random_constraint(g: np.random.Generator, cols: list[str]):
 
     def disjunctive() -> DisjunctiveConstraint:
         keys = g.choice(["u", "v", "w", "1"], size=g.integers(0, 4), replace=False)
-        return DisjunctiveConstraint(attr="g", branches={str(k): simple() for k in keys})
+        branches = {str(k): simple() for k in keys}
+        return DisjunctiveConstraint(attr="g", attr_type="string", branches=branches)
 
     kind = g.integers(3)
     if kind == 0:
@@ -234,6 +242,7 @@ def test_engines_agree_on_quoted_names_and_keys(spark):
     atom = BoundedProjection((name, "b"), (0.6, 0.8), 0.0, 1.0, -4.0, 4.0, 1.0)
     c = DisjunctiveConstraint(
         attr="k",
+        attr_type="string",
         branches={
             "O'Hare": SimpleConstraint(conjuncts=(atom,)),
             "a\\b": SimpleConstraint(conjuncts=(_atom(mean=1.0, std=0.5),)),
@@ -336,13 +345,14 @@ def test_gamma_weighting():
 
 
 def test_disjunctive_unseen_value_scores_one():
-    c = DisjunctiveConstraint(attr="g", branches={"x": SimpleConstraint(conjuncts=())})
+    empty = SimpleConstraint(conjuncts=())
+    c = DisjunctiveConstraint(attr="g", attr_type="string", branches={"x": empty})
     pdf = pd.DataFrame({"a": [0.0, 0.0], "b": [0.0, 0.0], "g": ["x", "zzz"]})
     np.testing.assert_array_equal(violation_numpy(c, pdf), [0.0, 1.0])
 
 
 def test_empty_branches_disjunctive_scores_one(spark):
-    c = DisjunctiveConstraint(attr="g", branches={})
+    c = DisjunctiveConstraint(attr="g", attr_type="string", branches={})
     pdf = pd.DataFrame({"g": ["x"], "a": [0.0], "b": [0.0]})
     assert violation_numpy(c, pdf)[0] == 1.0
     assert score(spark.createDataFrame(pdf), c).first()["violation"] == 1.0
@@ -350,7 +360,7 @@ def test_empty_branches_disjunctive_scores_one(spark):
 
 def test_compound_is_mean_of_parts():
     s_ok = SimpleConstraint(conjuncts=(_atom(mean=0, std=1),))
-    d_bad = DisjunctiveConstraint(attr="g", branches={})  # always 1
+    d_bad = DisjunctiveConstraint(attr="g", attr_type="string", branches={})  # always 1
     c = CompoundConstraint(parts=(s_ok, d_bad))
     pdf = pd.DataFrame({"a": [0.0], "b": [0.0], "g": ["x"]})
     assert violation_numpy(c, pdf)[0] == pytest.approx(0.5)
@@ -382,10 +392,10 @@ def test_strict_equality_atom_fires_on_any_deviation():
 
 
 def test_engines_agree_on_boolean_switch(spark):
-    """Branch keys of a boolean switch are "true"/"false", as CAST(... AS
-    STRING) gives in Spark and DuckDB: the pandas kernel, the Catalyst
-    expression and the SQL text pick the same branch, and the training data
-    scores about 0 against its own constraint."""
+    """Branch keys of a boolean switch are "true"/"false", and every engine
+    matches them by value: the pandas kernel, the Catalyst expression and
+    the SQL text pick the same branch, and the training data scores about 0
+    against its own constraint."""
     pdf = piecewise_pdf(n_per=100, seed=30)
     pdf["flag"] = pdf.pop("grp") == "g0"
     df = spark.createDataFrame(pdf)
@@ -407,9 +417,9 @@ def test_engines_agree_on_boolean_switch(spark):
 
 def test_engines_agree_on_integer_switch_with_nulls(spark):
     """A bigint switch holding nulls reaches pandas as float64.  Its branch
-    keys must still be "0", "1", ..., as CAST(... AS STRING) gives, so the
-    pandas kernel and the Catalyst expression pick the same branch; the null
-    rows belong to no branch and score 1 on the disjunctive part in both."""
+    keys must still be "0", "1", ..., and the pandas kernel and the Catalyst
+    expression pick the same branch; the null rows belong to no branch and
+    score 1 on the disjunctive part in both."""
     pdf = piecewise_pdf(n_per=134, seed=31).head(400)
     pdf["k"] = pdf.pop("grp").str[1:].astype(int).astype(object)
     pdf.loc[::7, "k"] = None
@@ -424,33 +434,106 @@ def test_engines_agree_on_integer_switch_with_nulls(spark):
         assert average_violation(df, c, engine=engine) == pytest.approx(nulls / 2, abs=0.01)
 
 
-def test_engines_agree_on_float_switch(spark):
-    """A double switch keys as Spark's CAST(... AS STRING) prints it, in
-    Java's notation ("1.0E7", "1.0E-4"), so the pandas kernel and the
-    Catalyst expression pick the same branch; null and NaN rows belong to no
-    branch and score 1 on the disjunctive part in both.  DuckDB prints
-    doubles outside [1e-3, 1e7) without an exponent, so it checks the other
-    rows only."""
-    pdf = piecewise_pdf(n_per=134, seed=32).head(400)
-    grp = pdf.pop("grp").str[1:].astype(int).to_numpy()
-    k = np.array([0.5, 1e7, 1e-4], dtype=object)[grp]
-    k[(grp == 2) & (np.arange(len(k)) % 2 == 1)] = 123456789.0
-    k[::7] = None
-    k[3::11] = float("nan")
-    pdf["k"] = k
-    df = spark.createDataFrame(list(pdf.itertuples(index=False)), "x double, y double, k double")
-    c = discover(df, cols=["x", "y"], partition_attrs=["k"])
-    assert set(c.parts[1].branches) == {"0.5", "1.0E7", "1.0E-4", "1.23456789E8"}
+def _assert_engines_agree(df, pdf, c, missing: np.ndarray) -> None:
+    """The pandas kernel, the Catalyst column and DuckDB's SQL text give the
+    same score on every row of ``df`` (``pdf`` as pandas), and the rows in
+    ``missing`` (null, NaN) score 1 on the disjunctive part, half the total."""
     pandas_v = score(df, c, engine="pandas").toPandas().sort_values(["x", "y"])
     catalyst = score(df, c, engine="catalyst")
     catalyst_v = catalyst.toPandas().sort_values(["x", "y"])
     np.testing.assert_allclose(pandas_v["violation"], catalyst_v["violation"], rtol=1e-9)
-    missing = pdf["k"].isna()
     for engine in ("pandas", "catalyst"):
-        assert average_violation(df, c, engine=engine) == pytest.approx(missing.mean() / 2, abs=0.01)
-    near = pdf[missing | (pdf["k"] == 0.5)].astype({"k": float})
+        assert average_violation(df, c, engine=engine) == pytest.approx(
+            missing.mean() / 2, abs=0.01
+        )
     assert_equivalent(
-        catalyst.where("isnull(k) OR isnan(k) OR k = 0.5").select("x", "y", "violation"),
+        catalyst.select("x", "y", "violation"),
         f"SELECT x, y, {violation_sql(c)} AS violation FROM d",
-        d=near,
+        d=pdf,
     )
+
+
+def test_engines_agree_on_float_switch(spark):
+    """Double and float switches match by value in every engine, also for
+    values whose Java and Python printings differ (magnitudes >= 1e16,
+    5e-324, float32 >= 7.5e7); 0.0 and -0.0 in different partitions form one
+    branch "0.0"; null and NaN rows belong to no branch.  DuckDB checks
+    every row."""
+    pdf = piecewise_pdf(n_per=134, seed=32).head(400)
+    grp = pdf.pop("grp").str[1:].astype(int).to_numpy()
+    odd = np.arange(len(grp)) % 2 == 1
+    late = np.arange(len(grp)) >= len(grp) // 2
+    k = np.select(
+        [grp == 0, (grp == 1) & odd, grp == 1, odd],
+        [np.where(late, -0.0, 0.0), 1e16, 5e-324, 1.2345678901234566e17],
+        123456789.0,
+    ).astype(object)
+    k[::7] = None
+    k[3::11] = float("nan")
+    pdf["k"] = k
+    # 0.0 in one partition, -0.0 in the other
+    first, second = (
+        spark.createDataFrame(list(half.itertuples(index=False)), "x double, y double, k double")
+        for half in (pdf[~late], pdf[late])
+    )
+    df = first.union(second)
+    c = discover(df, cols=["x", "y"], partition_attrs=["k"])
+    assert c.parts[1].attr_type == "double"
+    assert set(c.parts[1].branches) == {
+        "0.0", "1e+16", "5e-324", "1.2345678901234566e+17", "123456789.0"
+    }
+    pdf["k"] = pdf["k"].astype(float)
+    _assert_engines_agree(df, pdf, c, pdf["k"].isna().to_numpy())
+
+    floats = np.array([7.5e7, 123456790.0, 0.1], dtype=np.float32)[grp]
+    floats[::7] = np.nan
+    pdf["k"] = floats
+    rows = [(x, y, None if np.isnan(v) else float(v)) for x, y, v in pdf.itertuples(index=False)]
+    df = spark.createDataFrame(rows, "x double, y double, k float")
+    c = discover(df, cols=["x", "y"], partition_attrs=["k"])
+    assert c.parts[1].attr_type == "float"
+    assert set(c.parts[1].branches) == {"75000000.0", "123456790.0", "0.1"}
+    _assert_engines_agree(df, pdf, c, pdf["k"].isna().to_numpy())
+
+
+def test_constraint_learned_on_bigint_scores_a_double_switch(spark):
+    """A constraint learned on a bigint switch matches the values 0.0 and
+    1.0 of a double column to its branches "0" and "1"; 1.5, null and NaN
+    match none and score 1.  The same in the numpy scorer, the Catalyst
+    column, DuckDB and ExTuNe, and after a round trip through a dict."""
+    train = piecewise_pdf(n_per=100, seed=33)
+    train = train[train["grp"] != "g2"].reset_index(drop=True)
+    train["k"] = train.pop("grp").str[1:].astype(int)
+    c = discover(
+        spark.createDataFrame(train, "x double, y double, k bigint"),
+        cols=["x", "y"],
+        partition_attrs=["k"],
+        include_global=False,
+    )
+    assert c.parts[0].attr_type == "bigint" and set(c.parts[0].branches) == {"0", "1"}
+    as_double = spark.createDataFrame(train.astype({"k": float}), "x double, y double, k double")
+    for engine in ("pandas", "catalyst"):
+        assert average_violation(as_double, c, engine=engine) < 0.02
+
+    conforming = train[violation_numpy(c, train) == 0.0]
+    rows = pd.concat(
+        [conforming[conforming["k"] == 0].head(1), conforming[conforming["k"] == 1].head(3)]
+    )[["x", "y"]].reset_index(drop=True)
+    rows["k"] = [0.0, 1.0, 1.5, np.nan]
+    rows.loc[4] = [rows.loc[3, "x"] + 1.0, rows.loc[3, "y"], np.nan]
+    tuples = [(x, y, None if i == 4 else k) for i, (x, y, k) in enumerate(rows.itertuples(False))]
+    df = spark.createDataFrame(tuples, "x double, y double, k double")
+    want = [0.0, 0.0, 1.0, 1.0, 1.0]
+    np.testing.assert_array_equal(violation_numpy(c, rows), want)
+    again = constraint_from_dict(constraint_to_dict(c))
+    assert again == c and again.parts[0].attr_type == "bigint"
+    np.testing.assert_array_equal(violation_numpy(again, rows), want)
+    got = score(df, c, engine="catalyst").toPandas().sort_values("x")["violation"]
+    np.testing.assert_allclose(got, np.array(want)[np.argsort(rows["x"].to_numpy())])
+    assert_equivalent(
+        score(df, c, engine="catalyst").select("x", "y", "violation"),
+        f"SELECT x, y, {violation_sql(c)} AS violation FROM d",
+        d=rows,
+    )
+    r = responsibilities(df.coalesce(1), c, ["x", "y"], max_steps=4)
+    np.testing.assert_allclose(r.to_numpy(), [3 / 5 / 5] * 2)  # 3 rows capped at 1/5
