@@ -5,7 +5,7 @@ Pipeline: ``gram`` (one-pass distributed second moments, global and grouped) -> 
 (the language of Section 3.1) -> ``discovery`` (simple / disjunctive /
 compound synthesis, Section 4) -> ``scoring`` (quantitative semantics of
 Section 3.2: a constraint compiled once into an atom table, from which the
-default numpy kernel, the DuckDB SQL text and the Catalyst column derive).
+numpy kernel, the DuckDB SQL text and the Catalyst column derive).
 """
 from repro.core.constraints import (
     BoundedProjection,

@@ -12,14 +12,14 @@ eta = 1: the constraint cannot vouch for the tuple, as for a null switch value.
 ``compile_constraint`` turns a constraint, once and on the driver, into an
 ``AtomTable`` of dense atom arrays, and every evaluator derives from it:
 
-* ``violation_numpy`` — the numpy scorer behind ``score`` and
-  ``average_violation`` with the default ``engine="pandas"`` (Arrow batches
-  inside ``mapInPandas``).  Its kernel ``eta_sum`` also scores ExTuNe's
+* ``violation_numpy`` — the numpy scorer, the only one that production code
+  runs: ``score`` and ``average_violation`` apply it to Arrow batches inside
+  ``mapInPandas``, and its kernel ``eta_sum`` also scores ExTuNe's
   interventions;
 * ``violation_sql`` — the table as SQL text, which the DuckDB oracle runs;
-* ``violation_col`` — the same text in Spark's dialect, as a Catalyst column
-  (``engine="catalyst"`` and ``tml.flag_non_conforming``), so the oracle
-  checks the expression Spark runs.
+* ``violation_col`` — the same text in Spark's dialect, as a Catalyst column.
+  Only the tests evaluate it, to check the numpy kernel and the DuckDB text
+  against a Spark-native twin; no production path reaches it.
 
 A disjunctive part matches a tuple's switch value to a branch by value: its
 keys are parsed once into values of the recorded switch type and matched with
@@ -218,23 +218,14 @@ def violation_col(c: Constraint) -> Column:
     return Fn.expr(_sql(compile_constraint(c), spark=True)).cast("double")
 
 
-def score(
-    df: DataFrame, c: Constraint, col_name: str = "violation", engine: str = "pandas"
-) -> DataFrame:
-    """``df`` with an extra column holding the violation score of each tuple.
+def score(df: DataFrame, c: Constraint, col_name: str = "violation") -> DataFrame:
+    """``df`` with an extra double column ``col_name``: [[c]](t) of each tuple.
 
-    ``engine="pandas"`` (default) evaluates the constraint with the
-    Arrow-vectorized numpy kernel inside ``mapInPandas`` — for realistic
-    compound constraints (hundreds of atoms over dozens of attributes) this
-    is ~100x faster than the Catalyst expression, whose generated code blows
-    the JVM's 64 KB method limit and falls back to interpreted evaluation.
-    ``engine="catalyst"`` uses the expression (kept for the DuckDB oracle
-    cross-checks and as the no-Python-worker path).
+    The numpy kernel scores Arrow batches inside ``mapInPandas``.  (The
+    Catalyst twin ``violation_col`` of a realistic compound constraint, with
+    hundreds of atoms, blows the JVM's 64 KB method limit and falls back to
+    interpreted evaluation.)
     """
-    if engine == "catalyst":
-        return df.withColumn(col_name, violation_col(c))
-    if engine != "pandas":
-        raise ValueError(f"unknown engine {engine!r}")
     table = compile_constraint(c)
     out_schema = StructType(df.schema.fields + [StructField(col_name, DoubleType())])
 
@@ -247,13 +238,8 @@ def score(
     return df.mapInPandas(fn, schema=out_schema)
 
 
-def average_violation(df: DataFrame, c: Constraint, engine: str = "pandas") -> float:
+def average_violation(df: DataFrame, c: Constraint) -> float:
     """Mean violation of ``df``'s tuples — the paper's drift magnitude."""
-    if engine == "catalyst":
-        row = df.select(Fn.avg(violation_col(c)).alias("v")).first()
-        return float(row["v"]) if row["v"] is not None else 0.0
-    if engine != "pandas":
-        raise ValueError(f"unknown engine {engine!r}")
     table = compile_constraint(c)
 
     def fn(batches):

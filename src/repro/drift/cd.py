@@ -10,8 +10,9 @@ bins).  A new window is scored per component against the reference density:
 * ``CD-Area`` — max over components of 1 - sum_i min(p_i, q_i)
                 (one minus the intersection area of the two densities).
 
-Histograms are computed with a Catalyst bucketing expression + groupBy, so
-only (k x bins) counts ever reach the driver.
+Histograms are computed with one Catalyst bucketing expression per
+component and a single groupBy on all k of them, so only the (at most
+bins^k) joint cell counts ever reach the driver.
 """
 from __future__ import annotations
 
@@ -47,20 +48,19 @@ def _bucket_expr(cols: Sequence[str], w: np.ndarray, lo: float, width: float, bi
 
 
 def _histograms(df: DataFrame, model_cols, components, lows, widths, bins) -> np.ndarray:
-    """(k, bins) normalized histograms, one grouped aggregation per component."""
+    """(k, bins) normalized histograms from one grouped aggregation: the
+    counts of the joint (at most bins^k) bucket cells, summed on the driver
+    into each component's marginal."""
+    buckets = [
+        _bucket_expr(model_cols, w, lo, width, bins).alias(f"b{j}")
+        for j, (w, lo, width) in enumerate(zip(components, lows, widths))
+    ]
     out = np.zeros((len(components), bins))
-    for j, (w, lo, width) in enumerate(zip(components, lows, widths)):
-        counts = (
-            df.groupBy(_bucket_expr(model_cols, w, lo, width, bins).alias("b"))
-            .count()
-            .collect()
-        )
-        for row in counts:
-            out[j, int(row["b"])] = row["count"]
-        total = out[j].sum()
-        if total > 0:
-            out[j] /= total
-    return out
+    for row in df.groupBy(*buckets).count().collect():
+        for j in range(len(buckets)):
+            out[j, int(row[j])] += row["count"]
+    totals = out.sum(axis=1, keepdims=True)
+    return np.divide(out, totals, out=out, where=totals > 0)
 
 
 def fit_cd(df: DataFrame, cols: Sequence[str], k: int = 2, bins: int = 20) -> CDModel:
@@ -95,10 +95,3 @@ def cd_divergences(df: DataFrame, model: CDModel) -> dict[str, float]:
         area.append(1.0 - float(np.minimum(p, q).sum()))
     return {"mkl": max(mkl) if mkl else 0.0, "area": max(area) if area else 0.0}
 
-
-def cd_drift(df: DataFrame, model: CDModel, method: str = "area") -> float:
-    """Divergence of ``df`` from the reference window; ``method`` in
-    {"area", "mkl"}."""
-    if method not in ("area", "mkl"):
-        raise ValueError(f"unknown CD method {method!r}")
-    return cd_divergences(df, model)[method]

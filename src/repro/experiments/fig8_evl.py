@@ -17,7 +17,7 @@ from pyspark.sql import SparkSession
 
 from repro.core.discovery import discover
 from repro.core.scoring import average_violation
-from repro.datasets.evl import EVL_DATASETS, EVL_SPECS, evl_windows_pdf, ground_truth_drift
+from repro.datasets.evl import EVL_DATASETS, evl_windows_pdf, ground_truth_drift
 from repro.drift.cd import cd_divergences, fit_cd
 from repro.drift.pca_spll import fit_pca_spll, spll_drift
 
@@ -44,8 +44,9 @@ def run_dataset(
     n_windows: int = 12,
     n_per_class: int = 400,
     seed: int = 0,
-) -> pd.DataFrame:
-    """Normalized drift curves (one column per method + ground truth)."""
+) -> tuple[pd.DataFrame, int]:
+    """Normalized drift curves (one column per method + ground truth), and
+    the number of components PCA-SPLL retained on window 0."""
     windows = evl_windows_pdf(name, n_windows=n_windows, n_per_class=n_per_class, seed=seed)
     dfs = [spark.createDataFrame(w) for w in windows]
     num_cols = [c for c in windows[0].columns if c != "label"]
@@ -65,7 +66,7 @@ def run_dataset(
     out = pd.DataFrame({m: _normalize(np.asarray(v)) for m, v in curves.items()})
     out.insert(0, "window", np.arange(n_windows))
     out["ground_truth"] = ground_truth_drift(name, n_windows=n_windows)
-    return out
+    return out, spll.n_retained
 
 
 def run(
@@ -79,20 +80,14 @@ def run(
     normalized drift curve with the ground truth."""
     rows = []
     for name in datasets:
-        curves = run_dataset(spark, name, n_windows=n_windows, n_per_class=n_per_class, seed=seed)
+        curves, retained = run_dataset(
+            spark, name, n_windows=n_windows, n_per_class=n_per_class, seed=seed
+        )
         gt = curves["ground_truth"].to_numpy()
         row = {"dataset": name}
         for m in METHODS:
             row[f"corr_{m}"] = round(_corr(curves[m].to_numpy(), gt), 3)
-        num_cols = [f"d{i}" for i in range(EVL_SPECS[name]["dim"])]
-        row["spll_retained_components"] = int(
-            fit_pca_spll(
-                spark.createDataFrame(
-                    evl_windows_pdf(name, 2, n_per_class, seed=seed)[0]
-                ),
-                num_cols,
-            ).n_retained
-        )
+        row["spll_retained_components"] = retained
         row["paper_spll_fails"] = name in PAPER_SPLL_FAILS
         rows.append(row)
     return pd.DataFrame(rows)

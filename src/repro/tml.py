@@ -18,14 +18,15 @@ from pyspark.sql import DataFrame
 from pyspark.sql import functions as Fn
 
 from repro.core.constraints import Constraint, SimpleConstraint
-from repro.core.scoring import violation_col
+from repro.core.scoring import score
 
 
 def flag_non_conforming(
     df: DataFrame, constraint: Constraint, threshold: float = 0.0, col_name: str = "non_conforming"
 ) -> DataFrame:
     """``df`` plus a boolean column: violation score > ``threshold``."""
-    return df.withColumn(col_name, violation_col(constraint) > Fn.lit(threshold))
+    scored = score(df, constraint, col_name)
+    return scored.withColumn(col_name, Fn.col(col_name) > Fn.lit(threshold))
 
 
 def equality_check_non_conforming(

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pandas as pd
+from pyspark.sql import DataFrame
+from pyspark.sql import functions as Fn
 
 from repro.core.constraints import (
     BoundedProjection,
@@ -15,6 +17,7 @@ from repro.core.constraints import (
 )
 from repro.core.discovery import disjunctive_from_grams, simple_from_gram
 from repro.core.gram import GramResult, _partial_grams_fn, _square, _unpack
+from repro.core.scoring import violation_col
 
 
 def linear_pdf(
@@ -98,6 +101,18 @@ def grouped_constraint(
     if include_global:
         parts = (simple_from_gram(frame_moments(pdf, cols)), *parts)
     return CompoundConstraint(parts=parts)
+
+
+def catalyst_score(df: DataFrame, c: Constraint) -> DataFrame:
+    """``scoring.score`` evaluated by the Catalyst twin ``violation_col``
+    instead of the numpy kernel: the Spark side of the engine checks."""
+    return df.withColumn("violation", violation_col(c))
+
+
+def catalyst_average(df: DataFrame, c: Constraint) -> float:
+    """``scoring.average_violation`` evaluated by the Catalyst twin."""
+    v = df.select(Fn.avg(violation_col(c))).first()[0]
+    return float(v) if v is not None else 0.0
 
 
 def _atom_reference(b: BoundedProjection, pdf: pd.DataFrame) -> np.ndarray:

@@ -25,7 +25,7 @@ from repro.core.discovery import (
 )
 from repro.core.gram import numeric_columns
 from repro.core.scoring import average_violation, violation_numpy
-from tests.helpers import kernel_moments, linear_pdf, piecewise_pdf
+from tests.helpers import catalyst_average, kernel_moments, linear_pdf, piecewise_pdf
 
 
 def test_simple_constraint_shape(spark):
@@ -216,9 +216,7 @@ def test_only_atomic_non_numeric_columns_are_switch_candidates(spark):
     assert set(c.parts[2].branches) == {
         "2020-01-01 08:00:00", "2020-01-02 09:30:00.500000", "2020-01-03 00:00:00"
     }
-    assert average_violation(df, c, engine="pandas") == pytest.approx(
-        average_violation(df, c, engine="catalyst"), rel=1e-9
-    )
+    assert average_violation(df, c) == pytest.approx(catalyst_average(df, c), rel=1e-9)
     assert average_violation(df, c) < 0.02
 
 

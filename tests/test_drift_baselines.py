@@ -8,7 +8,7 @@ import pytest
 from repro.core.discovery import discover_simple
 from repro.core.scoring import average_violation
 from repro.datasets.evl import evl_window_pdf
-from repro.drift.cd import cd_drift, fit_cd
+from repro.drift.cd import cd_divergences, fit_cd
 from repro.drift.pca_spll import fit_pca_spll, spll_drift
 from repro.oracle import assert_equivalent
 
@@ -97,27 +97,27 @@ def test_cd_histograms_are_normalized(spark):
 
 
 def test_cd_histogram_counts_against_duckdb_oracle(spark):
-    """The bucketing expression is plain SQL — cross-check one component's
-    histogram with DuckDB."""
+    """The bucketing expression is plain SQL — cross-check each component's
+    histogram, the marginal of one joint aggregation, with DuckDB."""
     pdf = _gauss_pdf((0, 0), n=800, seed=9)
     df = spark.createDataFrame(pdf)
-    model = fit_cd(df, ["d0", "d1"], k=1, bins=10)
-    w, lo, width = model.components[0], model.lows[0], model.widths[0]
-    counts = (model.ref_probs[0] * len(pdf)).round().astype(int)
-    got = spark.createDataFrame(
-        pd.DataFrame({"b": np.arange(10), "cnt": counts})
-    ).filter("cnt > 0")
-    assert_equivalent(
-        got,
-        f"""
-        WITH t AS (
-          SELECT least(9, greatest(0, CAST(floor(((d0*{w[0]!r}) + (d1*{w[1]!r}) - {lo!r}) / {width!r}) AS INT))) AS b
-          FROM d
+    model = fit_cd(df, ["d0", "d1"], k=2, bins=10)
+    for w, lo, width, probs in zip(model.components, model.lows, model.widths, model.ref_probs):
+        counts = (probs * len(pdf)).round().astype(int)
+        got = spark.createDataFrame(
+            pd.DataFrame({"b": np.arange(10), "cnt": counts})
+        ).filter("cnt > 0")
+        assert_equivalent(
+            got,
+            f"""
+            WITH t AS (
+              SELECT least(9, greatest(0, CAST(floor(((d0*{w[0]!r}) + (d1*{w[1]!r}) - {lo!r}) / {width!r}) AS INT))) AS b
+              FROM d
+            )
+            SELECT b, CAST(count(*) AS INT) AS cnt FROM t GROUP BY b
+            """,
+            d=pdf,
         )
-        SELECT b, CAST(count(*) AS INT) AS cnt FROM t GROUP BY b
-        """,
-        d=pdf,
-    )
 
 
 @pytest.mark.parametrize("method", ["mkl", "area"])
@@ -125,7 +125,7 @@ def test_cd_zero_on_identical_near_zero(spark, method):
     ref = spark.createDataFrame(_gauss_pdf((0, 0), seed=10))
     same = spark.createDataFrame(_gauss_pdf((0, 0), seed=11))
     model = fit_cd(ref, ["d0", "d1"])
-    s = cd_drift(same, model, method=method)
+    s = cd_divergences(same, model)[method]
     assert 0 <= s < 0.15  # small but nonzero: CD's noise sensitivity
 
 
@@ -134,16 +134,9 @@ def test_cd_detects_global_shift(spark, method):
     ref = spark.createDataFrame(_gauss_pdf((0, 0), seed=12))
     model = fit_cd(ref, ["d0", "d1"])
     shifted = spark.createDataFrame(_gauss_pdf((3, 3), seed=13))
-    s_same = cd_drift(spark.createDataFrame(_gauss_pdf((0, 0), seed=14)), model, method=method)
-    s_shift = cd_drift(shifted, model, method=method)
+    s_same = cd_divergences(spark.createDataFrame(_gauss_pdf((0, 0), seed=14)), model)[method]
+    s_shift = cd_divergences(shifted, model)[method]
     assert s_shift > 5 * max(s_same, 1e-6)
-
-
-def test_cd_rejects_unknown_method(spark):
-    ref = spark.createDataFrame(_gauss_pdf((0, 0), n=100, seed=15))
-    model = fit_cd(ref, ["d0", "d1"])
-    with pytest.raises(ValueError):
-        cd_drift(ref, model, method="wat")
 
 
 # ---------------------------------------------------------------------------

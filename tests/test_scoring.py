@@ -29,7 +29,13 @@ from repro.core.scoring import (
 )
 from repro.explain.extune import responsibilities
 from repro.oracle import assert_equivalent
-from tests.helpers import linear_pdf, piecewise_pdf, violation_reference
+from tests.helpers import (
+    catalyst_average,
+    catalyst_score,
+    linear_pdf,
+    piecewise_pdf,
+    violation_reference,
+)
 
 
 def _atom(mean=0.0, std=1.0, gamma=1.0, weights=(1.0, 0.0), C=4.0):
@@ -139,29 +145,18 @@ def test_pandas_and_catalyst_engines_agree(spark, seed):
     pdf = _pdf(63 + seed, n=150)
     pdf["g"] = np.where(np.arange(len(pdf)) % 2 == 0, "u", "v")
     df = spark.createDataFrame(pdf)
-    a = score(df, c, engine="pandas").toPandas().sort_values(["a", "b"])
-    b = score(df, c, engine="catalyst").toPandas().sort_values(["a", "b"])
+    a = score(df, c).toPandas().sort_values(["a", "b"])
+    b = catalyst_score(df, c).toPandas().sort_values(["a", "b"])
     np.testing.assert_allclose(a["violation"].to_numpy(), b["violation"].to_numpy(), rtol=1e-9)
-    assert average_violation(df, c, engine="pandas") == pytest.approx(
-        average_violation(df, c, engine="catalyst"), rel=1e-9
-    )
+    assert average_violation(df, c) == pytest.approx(catalyst_average(df, c), rel=1e-9)
 
 
 def test_catalyst_engine_against_duckdb_oracle(spark):
     """Catalyst expression evaluation (not the pandas kernel) vs DuckDB."""
     c = _random_simple(70)
     pdf = _pdf(71, n=120)
-    got = score(spark.createDataFrame(pdf), c, engine="catalyst").select("a", "b", "violation")
+    got = catalyst_score(spark.createDataFrame(pdf), c).select("a", "b", "violation")
     assert_equivalent(got, f"SELECT a, b, {violation_sql(c)} AS violation FROM d", d=pdf)
-
-
-def test_score_rejects_unknown_engine(spark):
-    c = _random_simple(72)
-    df = spark.createDataFrame(_pdf(73, n=5))
-    with pytest.raises(ValueError):
-        score(df, c, engine="wat")
-    with pytest.raises(ValueError):
-        average_violation(df, c, engine="wat")
 
 
 def test_constraint_columns():
@@ -255,7 +250,7 @@ def test_engines_agree_on_quoted_names_and_keys(spark):
     want = violation_numpy(c, pdf)
     assert (want[pdf["k"].isin(["a\\\\b", "ohare"])] == 1.0).all()
     assert want[pdf["k"] == "O'Hare"].min() == 0.0 and want[pdf["k"] == "a\\b"].min() < 0.5
-    catalyst = score(spark.createDataFrame(pdf), c, engine="catalyst").select("i", "violation")
+    catalyst = catalyst_score(spark.createDataFrame(pdf), c).select("i", "violation")
     got = catalyst.toPandas().sort_values("i")["violation"]
     np.testing.assert_allclose(got, want, rtol=1e-12)
     assert_equivalent(catalyst, f"SELECT i, {violation_sql(c)} AS violation FROM d", d=pdf)
@@ -270,17 +265,17 @@ def test_engines_agree_on_null_and_nan_features(spark):
     rows = [(10.0, -2.0, 8.0), (None, -2.0, 8.0), (10.0, float("nan"), 8.0), (9.0, -1.0, 8.0)]
     df = spark.createDataFrame(rows, "a double, b double, c double")
     want = np.array([0.0, 1.0, 1.0, 0.0])
-    for engine in ("pandas", "catalyst"):
-        got = score(df, c, engine=engine).toPandas()["violation"].to_numpy()
+    for scorer, average in ((score, average_violation), (catalyst_score, catalyst_average)):
+        got = scorer(df, c).toPandas()["violation"].to_numpy()
         np.testing.assert_allclose(got, want, atol=1e-12)
-        assert average_violation(df, c, engine=engine) == pytest.approx(0.5, abs=1e-12)
+        assert average(df, c) == pytest.approx(0.5, abs=1e-12)
     # DuckDB sees the null as NULL and the NaN as NaN
     pdf = pd.DataFrame(
         {"a": pd.array([r[0] for r in rows], dtype="Float64"), "b": [r[1] for r in rows], "c": 8.0}
     )
     assert pdf["a"].isna().sum() == 1 and np.isnan(pdf["b"]).sum() == 1
     assert_equivalent(
-        score(df, c, engine="catalyst").select("a", "violation"),
+        catalyst_score(df, c).select("a", "violation"),
         f"SELECT a, {violation_sql(c)} AS violation FROM d",
         d=pdf,
     )
@@ -402,8 +397,8 @@ def test_engines_agree_on_boolean_switch(spark):
     c = discover(df)
     assert c.parts[1].attr == "flag"
     assert set(c.parts[1].branches) == {"true", "false"}
-    pandas_v = score(df, c, engine="pandas").toPandas().sort_values(["x", "y"])
-    catalyst = score(df, c, engine="catalyst")
+    pandas_v = score(df, c).toPandas().sort_values(["x", "y"])
+    catalyst = catalyst_score(df, c)
     catalyst_v = catalyst.toPandas().sort_values(["x", "y"])
     np.testing.assert_allclose(pandas_v["violation"], catalyst_v["violation"], rtol=1e-9)
     assert_equivalent(
@@ -411,8 +406,8 @@ def test_engines_agree_on_boolean_switch(spark):
         f"SELECT x, y, flag, {violation_sql(c)} AS violation FROM d",
         d=pdf,
     )
-    assert average_violation(df, c, engine="catalyst") < 0.02
-    assert average_violation(df, c, engine="pandas") < 0.02
+    assert catalyst_average(df, c) < 0.02
+    assert average_violation(df, c) < 0.02
 
 
 def test_engines_agree_on_integer_switch_with_nulls(spark):
@@ -426,26 +421,24 @@ def test_engines_agree_on_integer_switch_with_nulls(spark):
     df = spark.createDataFrame(pdf, "x double, y double, k bigint")
     c = discover(df, cols=["x", "y"], partition_attrs=["k"])
     assert set(c.parts[1].branches) == {"0", "1", "2"}
-    pandas_v = score(df, c, engine="pandas").toPandas().sort_values(["x", "y"])
-    catalyst_v = score(df, c, engine="catalyst").toPandas().sort_values(["x", "y"])
+    pandas_v = score(df, c).toPandas().sort_values(["x", "y"])
+    catalyst_v = catalyst_score(df, c).toPandas().sort_values(["x", "y"])
     np.testing.assert_allclose(pandas_v["violation"], catalyst_v["violation"], rtol=1e-9)
     nulls = pdf["k"].isna().mean()
-    for engine in ("pandas", "catalyst"):
-        assert average_violation(df, c, engine=engine) == pytest.approx(nulls / 2, abs=0.01)
+    for average in (average_violation, catalyst_average):
+        assert average(df, c) == pytest.approx(nulls / 2, abs=0.01)
 
 
 def _assert_engines_agree(df, pdf, c, missing: np.ndarray) -> None:
     """The pandas kernel, the Catalyst column and DuckDB's SQL text give the
     same score on every row of ``df`` (``pdf`` as pandas), and the rows in
     ``missing`` (null, NaN) score 1 on the disjunctive part, half the total."""
-    pandas_v = score(df, c, engine="pandas").toPandas().sort_values(["x", "y"])
-    catalyst = score(df, c, engine="catalyst")
+    pandas_v = score(df, c).toPandas().sort_values(["x", "y"])
+    catalyst = catalyst_score(df, c)
     catalyst_v = catalyst.toPandas().sort_values(["x", "y"])
     np.testing.assert_allclose(pandas_v["violation"], catalyst_v["violation"], rtol=1e-9)
-    for engine in ("pandas", "catalyst"):
-        assert average_violation(df, c, engine=engine) == pytest.approx(
-            missing.mean() / 2, abs=0.01
-        )
+    for average in (average_violation, catalyst_average):
+        assert average(df, c) == pytest.approx(missing.mean() / 2, abs=0.01)
     assert_equivalent(
         catalyst.select("x", "y", "violation"),
         f"SELECT x, y, {violation_sql(c)} AS violation FROM d",
@@ -512,8 +505,8 @@ def test_constraint_learned_on_bigint_scores_a_double_switch(spark):
     )
     assert c.parts[0].attr_type == "bigint" and set(c.parts[0].branches) == {"0", "1"}
     as_double = spark.createDataFrame(train.astype({"k": float}), "x double, y double, k double")
-    for engine in ("pandas", "catalyst"):
-        assert average_violation(as_double, c, engine=engine) < 0.02
+    for average in (average_violation, catalyst_average):
+        assert average(as_double, c) < 0.02
 
     conforming = train[violation_numpy(c, train) == 0.0]
     rows = pd.concat(
@@ -528,10 +521,10 @@ def test_constraint_learned_on_bigint_scores_a_double_switch(spark):
     again = constraint_from_dict(constraint_to_dict(c))
     assert again == c and again.parts[0].attr_type == "bigint"
     np.testing.assert_array_equal(violation_numpy(again, rows), want)
-    got = score(df, c, engine="catalyst").toPandas().sort_values("x")["violation"]
+    got = catalyst_score(df, c).toPandas().sort_values("x")["violation"]
     np.testing.assert_allclose(got, np.array(want)[np.argsort(rows["x"].to_numpy())])
     assert_equivalent(
-        score(df, c, engine="catalyst").select("x", "y", "violation"),
+        catalyst_score(df, c).select("x", "y", "violation"),
         f"SELECT x, y, {violation_sql(c)} AS violation FROM d",
         d=rows,
     )

@@ -4,10 +4,13 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 import pytest
+from pyspark.sql.types import BooleanType
 
-from repro.core.discovery import discover_simple
-from repro.core.scoring import violation_numpy
+from repro.core.discovery import discover, discover_simple
+from repro.core.scoring import violation_col, violation_numpy
+from repro.datasets.airlines import FEATURE_COLS, splits_pdf
 from repro.tml import equality_check_non_conforming, flag_non_conforming, ite
+from tests.helpers import piecewise_pdf
 
 #: Example 5's annotated dataset: D = {(0,1),(0,2),(0,3)}, Y = [1,2,3].
 D_EX5 = pd.DataFrame({"A1": [0.0, 0.0, 0.0], "A2": [1.0, 2.0, 3.0]})
@@ -45,6 +48,52 @@ def test_flag_non_conforming_spark(spark, constraint_ex5):
     t = pd.DataFrame({"A1": [1.0, 0.0], "A2": [4.0, 4.0]})
     out = flag_non_conforming(spark.createDataFrame(t), constraint_ex5).toPandas()
     assert out.sort_values("A1")["non_conforming"].tolist() == [False, True]
+
+
+def _assert_flags_match_catalyst_twin(df, c) -> list[pd.DataFrame]:
+    """``flag_non_conforming`` keeps every column of ``df`` and adds a
+    boolean flag equal, row for row, to ``violation_col(c) > threshold``.
+    Returns the flagged rows at each threshold."""
+    twin = df.withColumn("twin", violation_col(c)).cache()
+    flagged = []
+    for threshold in (0.0, 0.05):
+        out = flag_non_conforming(twin, c, threshold=threshold)
+        assert out.columns == [*df.columns, "twin", "non_conforming"]
+        assert out.schema["non_conforming"].dataType == BooleanType()
+        rows = out.toPandas()
+        want = (rows["twin"] > threshold).to_numpy()
+        assert 0 < want.sum() < len(rows)
+        np.testing.assert_array_equal(rows["non_conforming"].to_numpy(), want)
+        flagged.append(rows[want])
+    twin.unpersist()
+    return flagged
+
+
+def test_flags_match_catalyst_twin_on_airlines(spark):
+    """An airlines-shaped compound constraint (global part and a carrier
+    switch over the Fig 3 features), learned on daytime flights and applied
+    to the mixed split."""
+    splits = splits_pdf(n_train=2_000, n_test=400, seed=3)
+    train, mixed = (
+        spark.createDataFrame(splits[k].drop(columns=["is_overnight"])) for k in ("train", "mixed")
+    )
+    c = discover(train, cols=FEATURE_COLS)
+    assert len(c.parts) > 1
+    _assert_flags_match_catalyst_twin(mixed, c)
+
+
+def test_flags_match_catalyst_twin_on_missing_values(spark):
+    """A switch value no branch has seen, a null switch value and a NaN
+    feature each score 1 on a part, so both engines flag all three tuples."""
+    pdf = piecewise_pdf(n_per=50, seed=4)
+    c = discover(spark.createDataFrame(pdf))
+    pdf = pdf.astype({"grp": object})
+    pdf.loc[[0, 1, 2], "grp"] = ["g9", None, "g0"]
+    pdf.loc[2, "x"] = np.nan
+    df = spark.createDataFrame(pdf, "grp string, x double, y double")
+    for rows in _assert_flags_match_catalyst_twin(df, c):
+        missing = rows["grp"].isna() | (rows["grp"] == "g9") | rows["x"].isna()
+        assert missing.sum() == 3
 
 
 def test_theorem7_model_transformation():
