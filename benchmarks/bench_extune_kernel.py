@@ -29,10 +29,7 @@ def test_bench_extune_kernel(benchmark, monkeypatch, n):
     table = compile_constraint(constraint, COLS)
 
     def run() -> np.ndarray:
-        group = extune._grouper(table, np.zeros(len(COLS)))
-        return extune._batch_responsibilities(
-            batch, group, COLS, table.switches, extune._EPS, 8
-        )
+        return extune._batch_responsibilities(table, batch, extune._EPS, 8)
 
     got = benchmark.pedantic(run, rounds=5, iterations=1)
     monkeypatch.setattr(extune, "_greedy_group", greedy_group_reference)

@@ -12,24 +12,29 @@ eta = 1: the constraint cannot vouch for the tuple, as for a null switch value.
 ``compile_constraint`` turns a constraint, once and on the driver, into an
 ``AtomTable`` of dense atom arrays, and every evaluator derives from it:
 
-* ``violation_numpy`` — the numpy scorer, the only one that production code
-  runs: ``score`` and ``average_violation`` apply it to Arrow batches inside
-  ``mapInPandas``, and its kernel ``eta_sum`` also scores ExTuNe's
-  interventions;
+* ``AtomTable.violation`` (``violation_numpy`` on a pandas frame) — the
+  numpy scorer, the only one that production code runs: ``score`` and
+  ``average_violation`` apply it to Arrow batches inside ``mapInPandas``;
 * ``violation_sql`` — the table as SQL text, which the DuckDB oracle runs;
 * ``violation_col`` — the same text in Spark's dialect, as a Catalyst column.
   Only the tests evaluate it, to check the numpy kernel and the DuckDB text
   against a Spark-native twin; no production path reaches it.
 
-A disjunctive part matches a tuple's switch value to a branch by value: its
-keys are parsed once into values of the recorded switch type and matched with
-``pd.Index.get_indexer`` (numpy, ExTuNe) or ``attr = CAST('<key>' AS <type>)``
-(SQL), so a bigint branch "1" matches 1.0 in a double column.
+One branch walk serves every numpy evaluator.  ``AtomTable.groups`` matches
+each tuple's switch values to branches by value (``pd.Index.get_indexer`` on
+the values the keys parse to in the recorded switch type, so a bigint branch
+"1" matches 1.0 in a double column) and groups the tuples on those branch
+indices; ``AtomTable.met`` gives, once per combination, the atoms its tuples
+meet as one stacked block and the weight of the parts where they meet none.
+The scorer applies ``eta_sum`` to that block, and ExTuNe intervenes on it.
+``mean_over_rows`` is the one ``mapInPandas`` reduction behind
+``average_violation`` and ExTuNe's ``responsibilities``.  The SQL walk
+matches branches with ``attr = CAST('<key>' AS <type>)``.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import dataclass, field
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 import pandas as pd
@@ -85,33 +90,64 @@ class AtomTable:
     Each part of the outer conjunction is ``(switch, blocks)``: a simple part
     has ``switch`` None and one block; a disjunctive part has one block per
     branch, in the order of ``switch.keys``.  A tuple that matches no branch
-    scores ``weight`` (1/|parts|) on the part.
+    scores ``weight`` (1/|parts|) on the part.  ``means`` are the first
+    training means any block records, or None.
     """
 
     cols: tuple[str, ...]
     weight: float
     parts: tuple[tuple[Switch | None, tuple[Block, ...]], ...]
+    means: np.ndarray | None
+    _met: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def switches(self) -> tuple[Switch, ...]:
         """The switches of the disjunctive parts."""
         return tuple(sw for sw, _ in self.parts if sw is not None)
 
+    def met(self, key: tuple[int, ...]) -> tuple[Block, float]:
+        """The blocks that tuples with branch indices ``key`` (one per switch,
+        -1 for none) meet, stacked into one block, and the weight of the
+        parts with no block for them; memoized, so each key is built once per
+        table (once per Spark task).
+
+        The block's ``col_means``, ExTuNe's intervention targets, are the
+        first matched branch's means, else the simple part's, else ``means``.
+        """
+        if key not in self._met:
+            branches = iter(key)
+            blocks, const, branch_means, simple_means = [], 0.0, [], []
+            for sw, part in self.parts:
+                j = 0 if sw is None else int(next(branches))
+                if j < 0:
+                    const += self.weight  # unseen or null value: permanently violated part
+                    continue
+                blocks.append(part[j])
+                (simple_means if sw is None else branch_means).append(part[j].col_means)
+            fix = next((m for m in [*branch_means, *simple_means] if m is not None), self.means)
+            empty = Block(np.zeros((0, len(self.cols))), *[np.zeros(0)] * 4)
+            fields = ("weights", "lb", "ub", "alpha", "coef")
+            stacked = {f: np.concatenate([getattr(b, f) for b in [empty, *blocks]]) for f in fields}
+            self._met[key] = Block(**stacked, col_means=fix), const
+        return self._met[key]
+
+    def groups(self, pdf: pd.DataFrame) -> Iterator[tuple[slice | np.ndarray, Block, float]]:
+        """``(rows, block, const)`` for each branch combination among the rows
+        of ``pdf``: the positions of its rows and what they meet (``met``).
+        With no switch, ``rows`` is ``slice(None)``, so nothing is copied."""
+        if not self.switches:
+            yield (slice(None), *self.met(()))
+            return
+        codes = [sw.branch(pdf) for sw in self.switches]
+        for key, rows in pdf.groupby(codes, sort=False).indices.items():
+            yield (rows, *self.met(key if isinstance(key, tuple) else (key,)))
+
     def violation(self, pdf: pd.DataFrame) -> np.ndarray:
         """[[c]](t) for every row of ``pdf``."""
         x = pdf[list(self.cols)].to_numpy(dtype=np.float64)
-        out = np.zeros(len(pdf))
-        for sw, blocks in self.parts:
-            if sw is None:
-                out += eta_sum(blocks[0], x @ blocks[0].weights.T)
-                continue
-            v = np.full(len(pdf), self.weight)
-            branch = sw.branch(pdf)
-            for j, b in enumerate(blocks):
-                rows = np.flatnonzero(branch == j)
-                if len(rows):
-                    v[rows] = eta_sum(b, x[rows] @ b.weights.T)
-            out += v
+        out = np.empty(len(pdf))
+        for rows, b, const in self.groups(pdf):
+            out[rows] = eta_sum(b, x[rows] @ b.weights.T) + const
         return out
 
 
@@ -147,7 +183,8 @@ def compile_constraint(c: Constraint, cols: Sequence[str] | None = None) -> Atom
         return Block(w, lb, ub, alpha, coef, means if len(means) == len(cols) else None)
 
     blocks = tuple((sw, tuple(block(s) for s in br)) for sw, br in switched)
-    return AtomTable(cols=cols, weight=weight, parts=blocks)
+    recorded = (b.col_means for _, bs in blocks for b in bs if b.col_means is not None)
+    return AtomTable(cols=cols, weight=weight, parts=blocks, means=next(recorded, None))
 
 
 def eta_sum(b: Block, p: np.ndarray) -> np.ndarray:
@@ -238,20 +275,35 @@ def score(df: DataFrame, c: Constraint, col_name: str = "violation") -> DataFram
     return df.mapInPandas(fn, schema=out_schema)
 
 
+def mean_over_rows(
+    df: DataFrame,
+    table: AtomTable,
+    per_row: Callable[[pd.DataFrame], np.ndarray],
+    width: int = 1,
+) -> np.ndarray:
+    """The mean over the tuples of ``df`` of ``per_row``, which maps a pandas
+    batch of ``table``'s switch and feature columns to one value, or one row
+    of ``width`` values, per tuple; zeros if ``df`` is empty.
+
+    One ``mapInPandas`` pass: each Spark task sums its batches, and only its
+    row count and ``width`` sums reach the driver.
+    """
+
+    def fn(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
+        n, sums = 0, np.zeros(width)
+        for pdf in batches:
+            sums += per_row(pdf).sum(axis=0)
+            n += len(pdf)
+        yield pd.DataFrame({"n": [n], "sums": [sums.tolist()]})
+
+    needed = list(dict.fromkeys([*(sw.attr for sw in table.switches), *table.cols]))
+    partials = df.select(*needed).mapInPandas(fn, schema="n long, sums array<double>").collect()
+    n = sum(r["n"] for r in partials)
+    total = sum((np.asarray(r["sums"]) for r in partials), np.zeros(width))
+    return total / n if n else total
+
+
 def average_violation(df: DataFrame, c: Constraint) -> float:
     """Mean violation of ``df``'s tuples — the paper's drift magnitude."""
     table = compile_constraint(c)
-
-    def fn(batches):
-        total = 0.0
-        n = 0
-        for pdf in batches:
-            v = table.violation(pdf)
-            total += float(v.sum())
-            n += len(v)
-        yield pd.DataFrame({"total": [total], "n": [n]})
-
-    needed = list(dict.fromkeys([*(sw.attr for sw in table.switches), *table.cols]))
-    partials = df.select(*needed).mapInPandas(fn, schema="total double, n long").collect()
-    n = sum(r["n"] for r in partials)
-    return sum(r["total"] for r in partials) / n if n else 0.0
+    return float(mean_over_rows(df, table, table.violation)[0])

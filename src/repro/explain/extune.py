@@ -11,13 +11,14 @@ For a non-conforming tuple t and attribute A_i:
    unspecified; we use greedy best-first, capped at ``max_steps``);
 3. responsibility(A_i) = 1 / (K + 1); tuples that already conform get 0.
 
-Per-tuple responsibilities are averaged over the test set.  The search runs
-distributed via ``mapInPandas`` on the constraint's ``AtomTable``
-(``core.scoring``): the blocks a branch combination meets are concatenated
-once per Spark task, so an intervention is a rank-1 update of the projection
-values — no per-candidate re-evaluation of the whole constraint.  A tuple
-with a null or NaN feature never conforms (its atoms score eta = 1), so its
-searches are capped.
+Per-tuple responsibilities are averaged over the test set with
+``scoring.mean_over_rows``, the reduction ``average_violation`` also uses.
+The search walks a batch's branch combinations with ``AtomTable.groups``, as
+the scorer does: the atoms a combination meets come stacked into one block,
+built once per Spark task, so an intervention is a rank-1 update of the
+projection values — no per-candidate re-evaluation of the whole constraint.
+A tuple with a null or NaN feature never conforms (its atoms score eta = 1),
+so its searches are capped.
 
 All B x m searches of a branch group (violating tuple x first-fixed
 attribute) run together as one array program: a round scores every
@@ -29,15 +30,14 @@ tuple's responsibilities never depend on the other tuples of its batch.
 """
 from __future__ import annotations
 
-from functools import cache
-from typing import Callable, Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame
 
 from repro.core.constraints import Constraint
-from repro.core.scoring import AtomTable, Block, Switch, compile_constraint, eta_sum
+from repro.core.scoring import AtomTable, Block, compile_constraint, eta_sum, mean_over_rows
 
 _EPS = 1e-9
 #: Most candidate projection values (searches x m x K) one round of the
@@ -115,57 +115,15 @@ def _greedy_group(
 
 
 def _batch_responsibilities(
-    pdf: pd.DataFrame,
-    group: Callable[[tuple], tuple[Block, float]],
-    cols: list[str],
-    switches: Sequence[Switch],
-    eps: float,
-    max_steps: int,
+    table: AtomTable, pdf: pd.DataFrame, eps: float, max_steps: int
 ) -> np.ndarray:
-    """(B, m) responsibilities for one pandas batch.
-
-    ``group`` gives the atoms and constant of a tuple of branch indices, one
-    per switch in ``switches`` (-1: no branch).
-    """
-    x = pdf[cols].to_numpy(dtype=np.float64)
-    if not switches:
-        return _greedy_group(*group(()), x, eps, max_steps)
+    """(B, m) responsibilities for one pandas batch: one greedy group per
+    branch combination of ``table.groups``."""
+    x = pdf[list(table.cols)].to_numpy(dtype=np.float64)
     out = np.zeros(x.shape)
-    codes = [sw.branch(pdf) for sw in switches]
-    for key, idx in pdf.groupby(codes, sort=False).indices.items():
-        key = key if isinstance(key, tuple) else (key,)
-        out[idx] = _greedy_group(*group(key), x[idx], eps, max_steps)
+    for rows, a, const in table.groups(pdf):
+        out[rows] = _greedy_group(a, const, x[rows], eps, max_steps)
     return out
-
-
-def _grouper(table: AtomTable, means: np.ndarray) -> Callable[[tuple], tuple[Block, float]]:
-    """The blocks that tuples with branch indices ``key`` (one per switch)
-    meet, concatenated, and the weight of the parts with no block for them;
-    memoized, so each key tuple is built once per Spark task.
-
-    The intervention targets are the first matched branch's means, else the
-    simple part's, else ``means``.
-    """
-
-    @cache
-    def group(key: tuple) -> tuple[Block, float]:
-        branches = iter(key)
-        blocks, const, branch_means, simple_means = [], 0.0, [], []
-        for sw, part in table.parts:
-            j = 0 if sw is None else int(next(branches))
-            if j < 0:
-                const += table.weight  # unseen or null value: permanently violated part
-                continue
-            b = part[j]
-            blocks.append(b)
-            (simple_means if sw is None else branch_means).append(b.col_means)
-        fix = next(m for m in [*branch_means, *simple_means, means] if m is not None)
-        empty = Block(np.zeros((0, len(table.cols))), *[np.zeros(0)] * 4)
-        fields = ("weights", "lb", "ub", "alpha", "coef")
-        stacked = {f: np.concatenate([getattr(b, f) for b in [empty, *blocks]]) for f in fields}
-        return Block(**stacked, col_means=fix), const
-
-    return group
 
 
 def responsibilities(
@@ -177,32 +135,13 @@ def responsibilities(
 ) -> pd.Series:
     """Average per-attribute responsibility over the tuples of ``df``.
 
-    Runs the greedy intervention search on every Spark partition via
-    ``mapInPandas``; only (m+1)-length partial sums reach the driver.
+    Runs the greedy intervention search on every Spark partition
+    (``mean_over_rows``); only (m+1)-length partial sums reach the driver.
     """
-    cols = list(cols)
     table = compile_constraint(constraint, cols)
-    recorded = [b.col_means for _, p in table.parts for b in p if b.col_means is not None]
-    if not recorded:
+    if table.means is None:
         raise ValueError("cannot derive intervention targets: constraint records no col_means")
-    needed = list(dict.fromkeys([*(sw.attr for sw in table.switches), *cols]))
-
-    def fn(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        group = _grouper(table, recorded[0])
-        sums = np.zeros(len(cols))
-        n = 0
-        for pdf in batches:
-            r = _batch_responsibilities(pdf, group, cols, table.switches, eps, max_steps)
-            sums += r.sum(axis=0)
-            n += len(pdf)
-        yield pd.DataFrame({"n": [n], "sums": [sums.tolist()]})
-
-    partials = df.select(*needed).mapInPandas(
-        fn, schema="n long, sums array<double>"
-    ).collect()
-    total = np.zeros(len(cols))
-    n = 0
-    for row in partials:
-        total += np.asarray(row["sums"])
-        n += row["n"]
-    return pd.Series(total / max(n, 1), index=cols, name="responsibility")
+    mean = mean_over_rows(
+        df, table, lambda pdf: _batch_responsibilities(table, pdf, eps, max_steps), len(table.cols)
+    )
+    return pd.Series(mean, index=list(table.cols), name="responsibility")

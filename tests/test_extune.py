@@ -228,10 +228,7 @@ def test_led_batch_matches_reference(monkeypatch):
     table = compile_constraint(c, cols)
 
     def run() -> np.ndarray:
-        group = extune._grouper(table, np.zeros(len(cols)))
-        return extune._batch_responsibilities(
-            batch, group, cols, table.switches, extune._EPS, 8
-        )
+        return extune._batch_responsibilities(table, batch, extune._EPS, 8)
 
     got = run()
     monkeypatch.setattr(extune, "_greedy_group", greedy_group_reference)

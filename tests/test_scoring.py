@@ -172,9 +172,14 @@ def test_constraint_columns():
     assert columns(cc) == (("a", "b"), ("g",))
 
 
+#: (attribute, Spark type, branch keys) of the random constraints' switches.
+SWITCHES = (("g", "string", ["u", "v", "w", "1"]), ("h", "bigint", ["0", "1", "2", "7"]))
+
+
 def _random_constraint(g: np.random.Generator, cols: list[str]):
     """A random simple, disjunctive or compound constraint whose parts read
-    random subsets of ``cols`` in random orders."""
+    random subsets of ``cols`` in random orders and switch on one of
+    ``SWITCHES``."""
 
     def simple() -> SimpleConstraint:
         used = tuple(str(c) for c in g.permutation(cols)[: g.integers(1, len(cols) + 1)])
@@ -197,9 +202,10 @@ def _random_constraint(g: np.random.Generator, cols: list[str]):
         return SimpleConstraint(conjuncts=tuple(atoms))
 
     def disjunctive() -> DisjunctiveConstraint:
-        keys = g.choice(["u", "v", "w", "1"], size=g.integers(0, 4), replace=False)
+        attr, attr_type, pool = SWITCHES[g.integers(len(SWITCHES))]
+        keys = g.choice(pool, size=g.integers(0, 4), replace=False)
         branches = {str(k): simple() for k in keys}
-        return DisjunctiveConstraint(attr="g", attr_type="string", branches=branches)
+        return DisjunctiveConstraint(attr=attr, attr_type=attr_type, branches=branches)
 
     kind = g.integers(3)
     if kind == 0:
@@ -214,17 +220,58 @@ def _random_constraint(g: np.random.Generator, cols: list[str]):
 def test_compiled_scorer_matches_reference():
     """The atom-table scorer equals the per-atom tree walk on random simple,
     disjunctive and compound constraints, unseen and null switch keys
-    included."""
+    included.  Compound constraints switch on a string and on a bigint
+    (which reaches pandas as float64, NaN for null), so a tuple can match a
+    branch of one switch and miss on the other."""
     g = np.random.default_rng(4)
     cols = ["a", "b", "c", "d"]
+    mixed = 0
     for _ in range(300):
         c = _random_constraint(g, cols)
         n = int(g.integers(1, 60))
         pdf = pd.DataFrame(g.normal(0, 3, (n, len(cols))), columns=cols)
         pdf["g"] = g.choice(np.array(["u", "v", "w", "zzz", None], dtype=object), n)
+        pdf["h"] = g.choice([0.0, 1.0, 2.0, 5.0, np.nan], n)
         np.testing.assert_allclose(
             violation_numpy(c, pdf), violation_reference(c, pdf), rtol=0, atol=1e-12
         )
+        met = {sw.attr: sw.branch(pdf) >= 0 for sw in compile_constraint(c).switches}
+        mixed += len(met) == 2 and bool((met["g"] != met["h"]).any())
+    assert mixed > 10  # a tuple meets a branch on g and none on h, or the reverse
+
+
+def test_atom_table_met_stacks_blocks_and_picks_targets():
+    """``AtomTable.met`` stacks the atoms a branch combination meets in part
+    order, adds the weight of each part it misses, and gives ExTuNe's
+    intervention targets: the first matched branch's means, else the simple
+    part's, else the first means the table records."""
+
+    def simple(mean: float, k: int) -> SimpleConstraint:
+        atoms = tuple(_atom(mean=mean + i) for i in range(k))
+        return SimpleConstraint(conjuncts=atoms, col_means=(mean, -mean))
+
+    glob = simple(1.0, 1)
+    d1 = DisjunctiveConstraint("g", "string", {"u": simple(2.0, 2), "v": simple(3.0, 1)})
+    d2 = DisjunctiveConstraint("h", "bigint", {"0": simple(4.0, 3), "1": simple(5.0, 2)})
+    table = compile_constraint(CompoundConstraint(parts=(glob, d1, d2)))
+    w = 1.0 / 3
+    for j, branch in enumerate(d2.branches.values()):
+        block, const = table.met((-1, j))
+        atoms = [*glob.conjuncts, *branch.conjuncts]
+        np.testing.assert_array_equal(block.weights, [a.weights for a in atoms])
+        np.testing.assert_array_equal(block.lb, [a.lb for a in atoms])
+        np.testing.assert_array_equal(block.coef, [a.gamma * w for a in atoms])
+        assert const == w
+        np.testing.assert_array_equal(block.col_means, branch.col_means)
+        assert table.met((-1, j))[0] is block  # built once per table
+    block, const = table.met((-1, -1))
+    np.testing.assert_array_equal(block.lb, [a.lb for a in glob.conjuncts])
+    assert const == 2 * w
+    np.testing.assert_array_equal(block.col_means, glob.col_means)
+
+    block, const = compile_constraint(CompoundConstraint(parts=(d1, d2))).met((-1, -1))
+    assert block.weights.shape == (0, 2) and const == 1.0
+    np.testing.assert_array_equal(block.col_means, d1.branches["u"].col_means)
 
 
 def test_engines_agree_on_quoted_names_and_keys(spark):
