@@ -83,3 +83,12 @@ def spark() -> SparkSession:
     )
     yield s
     s.stop()
+
+
+@pytest.fixture
+def executors(monkeypatch) -> None:
+    """Run every Python pass of the test on the executors (``mapInPandas``),
+    however small its input: a plan size is never at most -1 bytes."""
+    from repro.core import gram
+
+    monkeypatch.setattr(gram, "LOCAL_PASS_BYTES", -1)

@@ -55,7 +55,8 @@ from repro.core.projections import derive_projections, importance_raw
 DEFAULT_C = 4.0
 #: Paper's partitioning threshold: attributes with <= 50 distinct values.
 DEFAULT_MAX_BRANCHES = 50
-#: Partitions with fewer rows get a trivial (always satisfied) constraint —
+#: Partitions with fewer rows, or with no more rows than numerical attributes
+#: (a rank-deficient scatter), get a trivial (always satisfied) constraint —
 #: "no evidence" rather than a degenerate sigma=0 overfit (see DESIGN.md §3).
 DEFAULT_MIN_PARTITION_ROWS = 2
 #: Spark types an attribute must have to be auto-selected as a switch: atomic
@@ -120,11 +121,14 @@ def disjunctive_from_grams(
     min_partition_rows: int = DEFAULT_MIN_PARTITION_ROWS,
 ) -> DisjunctiveConstraint:
     """Build ``OR((attr = v) ▷ phi_v)`` from precomputed per-branch Grams of
-    a switch of Spark type ``attr_type``."""
+    a switch of Spark type ``attr_type``.  A branch of n rows over m columns
+    with n < ``min_partition_rows`` or n <= m is "no evidence": its scatter
+    has rank below m, so Algorithm 1 would bound m + 1 - n projections at
+    sigma = 0, which fresh tuples of the same distribution break."""
     branches = {
         v: (
             simple_from_gram(g, C=C)
-            if g.n >= min_partition_rows
+            if g.n >= min_partition_rows and g.n > len(g.cols)
             else SimpleConstraint(
                 conjuncts=(),
                 col_means=tuple(float(x) for x in g.mean),

@@ -19,6 +19,14 @@ driver memory.
 per branch of each switch attribute (§4.2) and each candidate's distinct
 keys — in one scan: one kernel, one Spark job.  ``augmented_gram`` and
 ``grouped_augmented_gram`` are its no-switch and one-switch cases.
+
+Where the kernel runs is decided by ``collect_partials``, which both
+reductions of the package go through (this one and
+``scoring.mean_over_rows``).  A small input is collected to the driver and
+reduced there as one batch: handing batches to the Python
+workers costs about 0.3 s a pass whatever the pass computes, more than the
+kernel itself takes on the paper's windows of a few thousand rows.  Larger
+inputs are reduced where they sit, one partial per Spark partition.
 """
 from __future__ import annotations
 
@@ -71,12 +79,16 @@ Moments = tuple[int, np.ndarray, np.ndarray]
 
 
 def _moments_of(x: np.ndarray) -> Moments | None:
-    """Count, mean and centered scatter of the rows of ``x`` whose sum is not
-    NaN (no NaN, not +inf beside -inf), by Chan, Golub & LeVeque's corrected
+    """Count, mean and centered scatter of the rows of ``x`` whose values are
+    all finite (no NaN, no ±inf), by Chan, Golub & LeVeque's corrected
     two-pass algorithm: ``c`` is the first mean's rounding error, large
-    enough on columns far from 0 to skew the merges."""
-    ok = ~np.isnan(x @ np.ones(x.shape[1]))
+    enough on columns far from 0 to skew the merges.  A finite row sum
+    vouches for a row in one matrix-vector product; only rows whose sum is
+    not finite, overflowed ones included, are checked value by value."""
+    ok = np.isfinite(x @ np.ones(x.shape[1]))
     if not ok.all():
+        suspect = np.flatnonzero(~ok)
+        ok[suspect] = np.isfinite(x[suspect]).all(axis=1)
         x = x[ok]
     n = len(x)
     if not n:
@@ -112,6 +124,43 @@ def _unpack(n: int, packed: Sequence[float], m: int) -> Moments:
     return n, p[0, 1:], p[1:, 1:]
 
 
+#: A pass whose input plan Spark estimates at no more than this many bytes
+#: runs its kernel on the driver.  It is Spark's default broadcast-join
+#: threshold, and like that threshold it bounds the driver memory a collected
+#: input takes; it is not a speed crossover (the driver was still faster at
+#: 20 MB).  A plan of unknown size reports ``spark.sql.defaultSizeInBytes``
+#: and stays on the executors.
+LOCAL_PASS_BYTES = 10 << 20
+
+
+def collect_partials(
+    df: DataFrame,
+    fn: Callable[[Iterator[pd.DataFrame]], Iterator[pd.DataFrame]],
+    schema: str,
+) -> list:
+    """The rows that the kernel ``fn`` yields over the Arrow batches of
+    ``df``, in one Spark job; each row is read by column name.
+
+    If Spark estimates the analyzed plan of ``df`` at most
+    ``LOCAL_PASS_BYTES``, the driver collects it (``toPandas``) and applies
+    ``fn`` to it as one batch (none if it is empty).  Otherwise every Spark
+    task applies ``fn`` to its partition's batches (``mapInPandas`` with
+    output ``schema``), and the driver collects their rows.
+
+    The analyzed plan, not the optimized one: ``df`` is a fresh ``select``,
+    and optimizing it would look it up in the cache manager, which
+    canonicalizes a local relation row by row (on a 4-core machine, 60 ms
+    for a cached 200 K x 12 frame, 350 ms uncached), only for the job to
+    optimize its own plan again.
+    The estimates agree up to the cache's encoding (20.8 MB analyzed, 19.2 MB
+    cached, for that frame).
+    """
+    if df._jdf.queryExecution().analyzed().stats().sizeInBytes() > LOCAL_PASS_BYTES:
+        return df.mapInPandas(fn, schema=schema).collect()
+    pdf = df.toPandas()
+    return [r for out in fn(iter([pdf] if len(pdf) else [])) for r in out.to_dict("records")]
+
+
 #: ``(switch index, branch key)`` under which the global moments are accumulated.
 _TOTAL = (-1, None)
 
@@ -128,8 +177,8 @@ def _partial_grams_fn(
     Emits one row per record, ``g`` packed by ``_square``: ``s = -1`` for the
     global one, ``s = i, v = key`` for branch ``key`` of the i-th switch
     (``branch_keys`` in its Spark type ``types[attr]``).  A key seen only on
-    rows with a NaN feature has a null ``g``; a null ``v`` marks a switch
-    that saw more than ``max_keys`` keys in this partition.
+    rows with a non-finite feature has a null ``g``; a null ``v`` marks a
+    switch that saw more than ``max_keys`` keys in this partition.
     """
     attrs = list(switches)
 
@@ -175,8 +224,8 @@ class GramPass:
     ``total`` is the record over the pass's ``cols`` (None if not asked for);
     ``grouped[attr][key]`` is the record of the rows whose ``attr`` has branch
     key ``key``; ``distinct[attr]`` counts the distinct non-null keys of
-    ``attr``, keys whose rows all had a NaN feature included.  A switch with
-    more than ``max_keys`` keys is in neither dict.
+    ``attr``, keys whose rows all had a non-finite feature included.  A
+    switch with more than ``max_keys`` keys is in neither dict.
     """
 
     total: GramResult | None
@@ -195,10 +244,12 @@ def gram_pass(
     ``cols`` are the columns of the global Gram (None: no global Gram);
     ``switches`` maps each switch attribute to the columns of its branch
     Grams.  A branch holds the rows with one switch value, keyed by its
-    ``branch_key``; null and NaN belong to no branch.  Rows with a NaN/null in a Gram's columns are
-    left out of that Gram.  A switch with more than ``max_keys`` distinct
-    keys, in one partition or in all of ``df``, is dropped; its partials stop
-    growing as soon as one partition sees too many keys.
+    ``branch_key``; null and NaN belong to no branch.  Rows with a null, NaN
+    or ±inf in a Gram's columns are left out of that Gram.  A switch with
+    more than ``max_keys`` distinct keys, in one partition or in all of
+    ``df``, is dropped; its partials stop growing as soon as one partition
+    sees too many keys.  Runs on the driver or the executors as
+    ``collect_partials`` decides.
 
     Each record is merged batch by batch and then in partition order,
     exactly as a pass computing only that record would, so the result does
@@ -212,10 +263,11 @@ def gram_pass(
             raise ValueError("a Gram pass needs at least one numerical column")
     needed = dict.fromkeys([*attrs, *(cols or []), *(c for bc in switches.values() for c in bc)])
     types = {a: df.schema[a].dataType.simpleString() for a in attrs}
-    partials = df.select(*needed).mapInPandas(
+    partials = collect_partials(
+        df.select(*needed),
         _partial_grams_fn(cols, switches, types, max_keys),
-        schema="s int, v string, n long, g array<double>",
-    ).collect()
+        "s int, v string, n long, g array<double>",
+    )
 
     def gcols(s: int) -> list[str]:
         return cols if s < 0 else switches[attrs[s]]
@@ -250,9 +302,9 @@ def gram_pass(
 def augmented_gram(df: DataFrame, cols: Sequence[str] | None = None) -> GramResult:
     """``GramResult`` of ``df`` over ``cols``: a ``gram_pass`` with no switch.
 
-    Rows with a NaN/null in any of ``cols`` are dropped (the generators in
-    this repo produce none; documented for completeness). ``cols`` defaults to
-    all numerical attributes.
+    Rows with a null, NaN or ±inf in any of ``cols`` are dropped (the
+    generators in this repo produce none; documented for completeness).
+    ``cols`` defaults to all numerical attributes.
     """
     return gram_pass(df, list(cols) if cols is not None else numeric_columns(df)).total
 

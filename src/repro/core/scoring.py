@@ -13,8 +13,9 @@ eta = 1: the constraint cannot vouch for the tuple, as for a null switch value.
 ``AtomTable`` of dense atom arrays, and every evaluator derives from it:
 
 * ``AtomTable.violation`` (``violation_numpy`` on a pandas frame) — the
-  numpy scorer, the only one that production code runs: ``score`` and
-  ``average_violation`` apply it to Arrow batches inside ``mapInPandas``;
+  numpy scorer, the only one that production code runs: ``score`` applies
+  it to Arrow batches inside ``mapInPandas``, and ``average_violation``
+  through ``mean_over_rows``;
 * ``violation_sql`` — the table as SQL text, which the DuckDB oracle runs;
 * ``violation_col`` — the same text in Spark's dialect, as a Catalyst column.
   Only the tests evaluate it, to check the numpy kernel and the DuckDB text
@@ -27,9 +28,12 @@ the values the keys parse to in the recorded switch type, so a bigint branch
 indices; ``AtomTable.met`` gives, once per combination, the atoms its tuples
 meet as one stacked block and the weight of the parts where they meet none.
 The scorer applies ``eta_sum`` to that block, and ExTuNe intervenes on it.
-``mean_over_rows`` is the one ``mapInPandas`` reduction behind
-``average_violation`` and ExTuNe's ``responsibilities``.  The SQL walk
-matches branches with ``attr = CAST('<key>' AS <type>)``.
+``mean_over_rows`` is the one reduction behind ``average_violation`` and
+ExTuNe's ``responsibilities``.  It runs through ``gram.collect_partials``,
+as the Gram pass does: on the driver when the input's plan is at most
+``gram.LOCAL_PASS_BYTES`` (10 MiB), which skips the Python workers' fixed
+hand-off cost on the paper's small windows, else in ``mapInPandas``.  The
+SQL walk matches branches with ``attr = CAST('<key>' AS <type>)``.
 """
 from __future__ import annotations
 
@@ -49,6 +53,7 @@ from repro.core.constraints import (
     SimpleConstraint,
     branch_value,
 )
+from repro.core.gram import collect_partials
 
 
 @dataclass(frozen=True)
@@ -285,8 +290,9 @@ def mean_over_rows(
     batch of ``table``'s switch and feature columns to one value, or one row
     of ``width`` values, per tuple; zeros if ``df`` is empty.
 
-    One ``mapInPandas`` pass: each Spark task sums its batches, and only its
-    row count and ``width`` sums reach the driver.
+    One pass (``gram.collect_partials``): each Spark task, or the driver for
+    a small ``df``, sums its batches, and only a row count and ``width`` sums
+    per task reach the driver.
     """
 
     def fn(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
@@ -297,7 +303,7 @@ def mean_over_rows(
         yield pd.DataFrame({"n": [n], "sums": [sums.tolist()]})
 
     needed = list(dict.fromkeys([*(sw.attr for sw in table.switches), *table.cols]))
-    partials = df.select(*needed).mapInPandas(fn, schema="n long, sums array<double>").collect()
+    partials = collect_partials(df.select(*needed), fn, "n long, sums array<double>")
     n = sum(r["n"] for r in partials)
     total = sum((np.asarray(r["sums"]) for r in partials), np.zeros(width))
     return total / n if n else total

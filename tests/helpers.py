@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pandas as pd
+import pytest
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as Fn
 
@@ -18,6 +19,17 @@ from repro.core.constraints import (
 from repro.core.discovery import disjunctive_from_grams, simple_from_gram
 from repro.core.gram import GramResult, _partial_grams_fn, _square, _unpack
 from repro.core.scoring import violation_col
+
+
+def on_executors(*tests) -> type:
+    """A test class that runs ``tests`` again with the ``executors`` fixture.
+
+    Test frames are small, so their passes run on the driver; assigned to a
+    ``Test*`` name of the module, the class runs the same assertions once
+    more on the other runner, under ids of its own."""
+    members = {t.__name__: staticmethod(t) for t in tests}
+    marks = {"pytestmark": pytest.mark.usefixtures("executors")}
+    return type("TestOnExecutors", (), {**marks, **members})
 
 
 def linear_pdf(

@@ -25,7 +25,14 @@ from repro.core.discovery import (
 )
 from repro.core.gram import numeric_columns
 from repro.core.scoring import average_violation, violation_numpy
-from tests.helpers import catalyst_average, kernel_moments, linear_pdf, piecewise_pdf
+from tests.helpers import (
+    catalyst_average,
+    grouped_constraint,
+    kernel_moments,
+    linear_pdf,
+    on_executors,
+    piecewise_pdf,
+)
 
 
 def test_simple_constraint_shape(spark):
@@ -141,6 +148,57 @@ def test_min_partition_rows_gives_trivial_branch(spark):
     c = discover_disjunctive(df, "grp", ["x", "y"], min_partition_rows=5)
     assert c.branches["rare"].conjuncts == ()
     assert violation_numpy(c.branches["rare"], tiny)[0] == 0.0
+
+
+def _thin_branch_pdf(n: int, m: int = 12, seed: int = 21) -> pd.DataFrame:
+    """Branch "a": n Gaussian rows over m columns; branch "b": 400 rows."""
+    g = np.random.default_rng(seed)
+    pdf = pd.DataFrame(g.normal(size=(n + 400, m)), columns=[f"c{i}" for i in range(m)])
+    pdf["grp"] = ["a"] * n + ["b"] * 400
+    return pdf
+
+
+@pytest.mark.parametrize("n", [3, 8, 12])
+def test_thin_branch_is_no_evidence(n):
+    """A branch of n <= m rows has a rank-deficient scatter, so Algorithm 1
+    would bound m + 1 - n projections at sigma = 0 and fresh tuples of the
+    branch's own distribution would break them (mean violation 0.24-0.89).
+    It is "no evidence" instead: those tuples score 0, and a value the
+    training data never saw still scores 1."""
+    cols = [f"c{i}" for i in range(12)]
+    c = grouped_constraint(_thin_branch_pdf(n), "grp", cols)
+    (disj,) = c.parts
+    assert disj.branches["a"].conjuncts == () and disj.branches["a"].n == n
+    assert disj.branches["b"].conjuncts != ()
+    fresh = _thin_branch_pdf(0, seed=22).assign(grp="a")
+    assert violation_numpy(c, fresh).max() == 0.0
+    assert (violation_numpy(c, fresh.assign(grp="unseen")) == 1.0).all()
+
+
+def test_branch_of_m_plus_one_rows_learns_a_full_constraint(spark):
+    """At n = m + 1 the scatter can have full rank: the branch learns as
+    many projections as a branch of 400 rows, through ``discover``."""
+    pdf = _thin_branch_pdf(13)
+    c = discover(spark.createDataFrame(pdf), partition_attrs=["grp"], include_global=False)
+    (disj,) = c.parts
+    assert disj.branches["a"].n == 13
+    assert len(disj.branches["a"].conjuncts) == len(disj.branches["b"].conjuncts) > 0
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf])
+def test_an_infinite_value_drops_its_row(spark, bad):
+    """A row with one ±inf feature is left out of every Gram, as a row with
+    a NaN is: discovery equals discovery on the frame without that row, up
+    to the rounding of a batch laid out otherwise in memory, and exactly
+    discovery with a NaN in place of the inf."""
+    pdf = piecewise_pdf(n_per=100, seed=23)
+    broken, nan = pdf.copy(), pdf.copy()
+    broken.loc[5, "y"], nan.loc[5, "y"] = bad, np.nan
+    got = discover(spark.createDataFrame(broken))
+    want = discover(spark.createDataFrame(pdf.drop(index=5)))
+    assert constraint_to_dict(got) == constraint_to_dict(discover(spark.createDataFrame(nan)))
+    assert [getattr(p, "n", None) for p in got.parts] == [len(pdf) - 1, None]
+    np.testing.assert_allclose(violation_numpy(got, pdf), violation_numpy(want, pdf), atol=1e-12)
 
 
 def test_average_violation_train_near_zero(spark):
@@ -310,3 +368,12 @@ def _spark_jobs(spark, fn) -> int:
 def test_discover_launches_one_spark_job(spark, kwargs):
     df = _spread(spark, _equivalence_pdf(seed=18))
     assert _spark_jobs(spark, lambda: discover(df, **kwargs)) == 1
+
+
+TestOnExecutors = on_executors(
+    test_discover_equals_composition,
+    test_null_switch_values_belong_to_no_branch,
+    test_discover_launches_one_spark_job,
+    test_only_atomic_non_numeric_columns_are_switch_candidates,
+    test_an_infinite_value_drops_its_row,
+)

@@ -14,6 +14,7 @@ from tests.helpers import (
     greedy_group_reference,
     grouped_constraint,
     linear_pdf,
+    on_executors,
     piecewise_pdf,
 )
 
@@ -263,3 +264,16 @@ def test_nan_feature_never_resolves(spark):
     df = spark.createDataFrame(rows, "a double, b double, c double")
     r = responsibilities(df, c, ["a", "b", "c"], max_steps=4)
     np.testing.assert_array_equal(r.to_numpy(), [0.2, 0.2, 0.2])
+
+
+TestOnExecutors = on_executors(
+    test_conforming_tuples_get_zero_responsibility,
+    test_single_corrupted_attribute_blamed,
+    test_compound_constraint_uses_branch_means,
+    test_unseen_branch_value_capped_not_crashing,
+    test_boolean_switch_branches_found,
+    test_led_malfunction_blamed,
+    test_distributed_matches_single_partition,
+    test_integer_switch_with_nulls_finds_its_branches,
+    test_nan_feature_never_resolves,
+)

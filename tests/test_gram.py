@@ -1,25 +1,35 @@
 """Tests for the distributed Gram substrate (repro.core.gram)."""
 from __future__ import annotations
 
+import datetime as dt
+import math
+from decimal import Decimal
+
 import numpy as np
 import pandas as pd
 import pytest
 from pyspark.sql import functions as Fn
 
+from repro.core import gram
+from repro.core.discovery import discover
 from repro.core.gram import (
     _merge,
     _moments_of,
     augmented_gram,
+    gram_pass,
     grouped_augmented_gram,
     numeric_columns,
 )
 from repro.core.projections import augmented_factor
+from repro.core.scoring import average_violation
+from repro.explain.extune import responsibilities
 from repro.oracle import assert_equivalent
 from tests.helpers import (
     augmented,
     frame_moments,
     linear_pdf,
     numpy_aug_gram,
+    on_executors,
     piecewise_pdf,
     random_unit_vectors,
 )
@@ -111,6 +121,16 @@ def test_gram_drops_nan_rows(spark):
     assert res.n == ref.n
     np.testing.assert_allclose(res.mean, ref.mean, rtol=1e-12)
     np.testing.assert_allclose(res.scatter, ref.scatter, rtol=1e-12)
+
+
+def test_moments_keep_exactly_the_rows_of_finite_values():
+    """A row with a NaN or ±inf is dropped; a row of finite values whose sum
+    overflows is kept."""
+    x = np.array([[1.0, 2.0], [np.inf, 0.0], [1e308, 1e308], [-np.inf, np.nan], [3.0, -1.0]])
+    with np.errstate(over="ignore", invalid="ignore"):  # the kept row's scatter overflows
+        n, mean, _ = _moments_of(x)
+    assert n == 3
+    np.testing.assert_allclose(mean, x[[0, 2, 4]].mean(axis=0))
 
 
 def test_gram_requires_columns(spark):
@@ -236,3 +256,143 @@ def test_numeric_columns_type_filter(spark):
     )
     df = spark.createDataFrame(pdf)
     assert numeric_columns(df) == ["i", "l", "f", "d"]
+
+
+TestOnExecutors = on_executors(
+    test_gram_matches_numpy,
+    test_gram_partition_invariant,
+    test_gram_default_columns,
+    test_gram_is_symmetric_psd,
+    test_gram_drops_nan_rows,
+    test_gram_requires_columns,
+    test_gram_entries_against_duckdb_oracle,
+    test_projection_moments_match_direct,
+    test_column_means,
+    test_grouped_gram_matches_per_group_numpy,
+    test_grouped_gram_sums_to_global,
+    test_grouped_gram_counts_against_duckdb_oracle,
+    test_grouped_gram_integer_attr_keys,
+)
+
+# ---------------------------------------------------------------------------
+# where a pass runs: the driver for a small plan, else the executors
+# ---------------------------------------------------------------------------
+
+#: Every switch type, as (DDL type, the values row k takes, cycling); the
+#: double one includes NaN.  Each column is null on its own rows.
+_SWITCHES = {
+    "s": ("string", ["a", "b", "c"]),
+    "i": ("bigint", [0, 1, 2]),
+    "b": ("boolean", [True, False]),
+    "f": ("float", [0.1, 7.5e7, 123456790.0]),
+    "d": ("double", [0.5, float("nan"), -0.0, 1e16]),
+    "dec": ("decimal(10,2)", [Decimal("1.25"), Decimal("-3.50"), Decimal("0.00")]),
+    "day": ("date", [dt.date(2020, 1, 1), dt.date(2020, 2, 29)]),
+    "ts": ("timestamp", [dt.datetime(2020, 1, 1, 8), dt.datetime(2020, 1, 2, 9, 30, 0, 500000)]),
+}
+
+
+def _every_switch_type(spark, n: int = 240):
+    g = np.random.default_rng(20)
+    x, y = g.normal(size=(2, n))
+    y[5], y[9] = np.nan, np.inf  # rows that every Gram over y drops
+    rows = [
+        (float(x[k]), float(y[k]))
+        + tuple(
+            None if (k + j) % 7 == 0 else v[k % len(v)]
+            for j, (_, v) in enumerate(_SWITCHES.values())
+        )
+        for k in range(n)
+    ]
+    schema = ", ".join(["x double", "y double"] + [f"{a} {t}" for a, (t, _) in _SWITCHES.items()])
+    return spark.createDataFrame(rows, schema).repartition(3)
+
+
+@pytest.mark.parametrize("arrow", [True, False], ids=["arrow", "no-arrow"])
+def test_runners_agree_on_every_switch_type(spark, monkeypatch, arrow):
+    """The driver and the executors run the same kernel on the same rows:
+    the same branch keys, counts and distinct counts for every switch type
+    with nulls, and moments and mean violations equal up to the order of the
+    merges, whether ``toPandas`` converts through Arrow or not."""
+    df = _every_switch_type(spark)
+    attrs = list(_SWITCHES)
+    previous = spark.conf.get("spark.sql.execution.arrow.pyspark.enabled")
+    spark.conf.set("spark.sql.execution.arrow.pyspark.enabled", str(arrow).lower())
+    try:
+        runs = {}
+        for runner, limit in (("driver", math.inf), ("executors", -1)):
+            monkeypatch.setattr(gram, "LOCAL_PASS_BYTES", limit)
+            passed = gram_pass(df, ["x", "y"], {a: ["x", "y"] for a in attrs})
+            c = discover(df, cols=["x", "y"], partition_attrs=attrs)
+            runs[runner] = passed, average_violation(df, c), responsibilities(df, c, ["x", "y"])
+    finally:
+        spark.conf.set("spark.sql.execution.arrow.pyspark.enabled", previous)
+    (here, v_here, r_here), (there, v_there, r_there) = runs["driver"], runs["executors"]
+    distinct = {"s": 3, "i": 3, "b": 2, "f": 3, "d": 3, "dec": 3, "day": 2, "ts": 2}
+    assert here.distinct == there.distinct == distinct  # NaN is no key
+    assert here.total.n == there.total.n == 238
+    for a in attrs:
+        assert set(here.grouped[a]) == set(there.grouped[a])
+        for key, r in here.grouped[a].items():
+            other = there.grouped[a][key]
+            assert r.n == other.n
+            np.testing.assert_allclose(r.mean, other.mean, rtol=1e-12)
+            np.testing.assert_allclose(r.scatter, other.scatter, rtol=1e-10, atol=1e-12)
+    np.testing.assert_allclose(here.total.mean, there.total.mean, rtol=1e-12)
+    np.testing.assert_allclose(here.total.scatter, there.total.scatter, rtol=1e-10)
+    assert v_here == pytest.approx(v_there, rel=1e-12)
+    pd.testing.assert_series_equal(r_here, r_there, rtol=1e-12)
+
+
+def _plan_bytes(df) -> int:
+    return df._jdf.queryExecution().analyzed().stats().sizeInBytes()
+
+
+def test_a_pass_runs_on_the_executors_only_above_the_limit(spark, monkeypatch):
+    """A Gram pass or a mean violation whose input plan is at most
+    ``LOCAL_PASS_BYTES`` starts no Python worker; one byte more, or a plan
+    of unknown size, and it runs in ``mapInPandas``."""
+    assert gram.LOCAL_PASS_BYTES == 10 << 20
+    df = spark.createDataFrame(linear_pdf(n=300, seed=16))
+    calls = []
+    real = type(df).mapInPandas
+
+    def spy(self, *args, **kwargs):
+        calls.append(_plan_bytes(self))
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(type(df), "mapInPandas", spy)
+    c = discover(df)
+    ref = augmented_gram(df)
+    size = _plan_bytes(df.select("a", "b", "c"))
+    assert 0 < size <= gram.LOCAL_PASS_BYTES and average_violation(df, c) < 0.02
+    assert calls == []
+    monkeypatch.setattr(gram, "LOCAL_PASS_BYTES", size)
+    augmented_gram(df)
+    assert calls == []
+    monkeypatch.setattr(gram, "LOCAL_PASS_BYTES", size - 1)
+    assert augmented_gram(df).n == ref.n
+    assert average_violation(df, c) < 0.02
+    assert calls == [size, size]
+    monkeypatch.undo()
+    calls.clear()
+    monkeypatch.setattr(type(df), "mapInPandas", spy)
+    unknown = spark.createDataFrame(df.rdd, df.schema)  # an RDD's size is unknown
+    assert _plan_bytes(unknown) > gram.LOCAL_PASS_BYTES
+    assert augmented_gram(unknown).n == ref.n
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("runner", ["driver", "executors"])
+def test_empty_frame_on_either_runner(spark, monkeypatch, runner):
+    """A frame without rows gives an empty global record, no branch, a mean
+    violation of 0 and responsibilities of 0, on the driver and on the
+    executors alike."""
+    monkeypatch.setattr(gram, "LOCAL_PASS_BYTES", math.inf if runner == "driver" else -1)
+    df = spark.createDataFrame([], "a double, b double, c double, s string")
+    passed = gram_pass(df, ["a", "b", "c"], {"s": ["a", "b"]})
+    assert passed.total.n == 0 and (passed.total.scatter == 0).all()
+    assert passed.grouped == {"s": {}} and passed.distinct == {"s": 0}
+    c = discover(spark.createDataFrame(linear_pdf(n=100, seed=17)))
+    assert average_violation(df, c) == 0.0
+    assert (responsibilities(df, c, ["a", "b", "c"]) == 0.0).all()

@@ -33,6 +33,7 @@ from tests.helpers import (
     catalyst_average,
     catalyst_score,
     linear_pdf,
+    on_executors,
     piecewise_pdf,
     violation_reference,
 )
@@ -577,3 +578,13 @@ def test_constraint_learned_on_bigint_scores_a_double_switch(spark):
     )
     r = responsibilities(df.coalesce(1), c, ["x", "y"], max_steps=4)
     np.testing.assert_allclose(r.to_numpy(), [3 / 5 / 5] * 2)  # 3 rows capped at 1/5
+
+
+TestOnExecutors = on_executors(
+    test_average_violation,
+    test_engines_agree_on_null_and_nan_features,
+    test_engines_agree_on_boolean_switch,
+    test_engines_agree_on_integer_switch_with_nulls,
+    test_engines_agree_on_float_switch,
+    test_constraint_learned_on_bigint_scores_a_double_switch,
+)
