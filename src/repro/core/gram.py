@@ -20,13 +20,13 @@ per branch of each switch attribute (§4.2) and each candidate's distinct
 keys — in one scan: one kernel, one Spark job.  ``augmented_gram`` and
 ``grouped_augmented_gram`` are its no-switch and one-switch cases.
 
-Where the kernel runs is decided by ``collect_partials``, which both
-reductions of the package go through (this one and
-``scoring.mean_over_rows``).  A small input is collected to the driver and
-reduced there as one batch: handing batches to the Python
-workers costs about 0.3 s a pass whatever the pass computes, more than the
-kernel itself takes on the paper's windows of a few thousand rows.  Larger
-inputs are reduced where they sit, one partial per Spark partition.
+Where the kernel runs is decided by ``collect_partials``, which every pass
+goes through: this one and ``scoring.mean_over_rows`` (violations, ExTuNe,
+drift baselines).  A small input is collected to the driver and reduced
+there as one batch: handing batches to the Python workers costs about 0.3 s
+a pass whatever the pass computes, more than the kernel itself takes on the
+paper's windows of a few thousand rows.  Larger inputs are reduced where
+they sit, one partial per Spark partition.
 """
 from __future__ import annotations
 
@@ -78,18 +78,26 @@ class GramResult:
 Moments = tuple[int, np.ndarray, np.ndarray]
 
 
-def _moments_of(x: np.ndarray) -> Moments | None:
-    """Count, mean and centered scatter of the rows of ``x`` whose values are
-    all finite (no NaN, no ±inf), by Chan, Golub & LeVeque's corrected
-    two-pass algorithm: ``c`` is the first mean's rounding error, large
-    enough on columns far from 0 to skew the merges.  A finite row sum
-    vouches for a row in one matrix-vector product; only rows whose sum is
-    not finite, overflowed ones included, are checked value by value."""
+def finite_rows(x: np.ndarray) -> np.ndarray:
+    """The rows of ``x`` with no NaN or ±inf, in the layout of ``x``: BLAS sums
+    C and Fortran order differently, so dropping a row must not change what
+    the others sum to.  A finite row sum vouches for a row in one
+    matrix-vector product; only rows whose sum is not finite, overflowed
+    ones included, are checked value by value."""
     ok = np.isfinite(x @ np.ones(x.shape[1]))
-    if not ok.all():
-        suspect = np.flatnonzero(~ok)
-        ok[suspect] = np.isfinite(x[suspect]).all(axis=1)
-        x = x[ok]
+    if ok.all():
+        return x
+    suspect = np.flatnonzero(~ok)
+    ok[suspect] = np.isfinite(x[suspect]).all(axis=1)
+    return x[ok] if x.flags.c_contiguous else np.asfortranarray(x[ok])
+
+
+def _moments_of(x: np.ndarray) -> Moments | None:
+    """Count, mean and centered scatter of the ``finite_rows`` of ``x``, by
+    Chan, Golub & LeVeque's corrected two-pass algorithm: ``c`` is the first
+    mean's rounding error, large enough on columns far from 0 to skew the
+    merges."""
+    x = finite_rows(x)
     n = len(x)
     if not n:
         return None

@@ -28,8 +28,9 @@ the values the keys parse to in the recorded switch type, so a bigint branch
 indices; ``AtomTable.met`` gives, once per combination, the atoms its tuples
 meet as one stacked block and the weight of the parts where they meet none.
 The scorer applies ``eta_sum`` to that block, and ExTuNe intervenes on it.
-``mean_over_rows`` is the one reduction behind ``average_violation`` and
-ExTuNe's ``responsibilities``.  It runs through ``gram.collect_partials``,
+``mean_over_rows`` is the one reduction behind ``average_violation``,
+ExTuNe's ``responsibilities`` and the drift baselines' window scores.  It
+runs through ``gram.collect_partials``,
 as the Gram pass does: on the driver when the input's plan is at most
 ``gram.LOCAL_PASS_BYTES`` (10 MiB), which skips the Python workers' fixed
 hand-off cost on the paper's small windows, else in ``mapInPandas``.  The
@@ -109,6 +110,11 @@ class AtomTable:
     def switches(self) -> tuple[Switch, ...]:
         """The switches of the disjunctive parts."""
         return tuple(sw for sw, _ in self.parts if sw is not None)
+
+    @property
+    def columns(self) -> list[str]:
+        """Every column an evaluator reads: the switch attributes, then ``cols``."""
+        return list(dict.fromkeys([*(sw.attr for sw in self.switches), *self.cols]))
 
     def met(self, key: tuple[int, ...]) -> tuple[Block, float]:
         """The blocks that tuples with branch indices ``key`` (one per switch,
@@ -282,13 +288,13 @@ def score(df: DataFrame, c: Constraint, col_name: str = "violation") -> DataFram
 
 def mean_over_rows(
     df: DataFrame,
-    table: AtomTable,
+    cols: Sequence[str],
     per_row: Callable[[pd.DataFrame], np.ndarray],
     width: int = 1,
 ) -> np.ndarray:
-    """The mean over the tuples of ``df`` of ``per_row``, which maps a pandas
-    batch of ``table``'s switch and feature columns to one value, or one row
-    of ``width`` values, per tuple; zeros if ``df`` is empty.
+    """The mean of ``per_row`` over the tuples of ``df`` it keeps: it maps a
+    pandas batch of the columns ``cols`` to one value, or one row of
+    ``width`` values, per tuple it keeps; zeros if it keeps none.
 
     One pass (``gram.collect_partials``): each Spark task, or the driver for
     a small ``df``, sums its batches, and only a row count and ``width`` sums
@@ -298,12 +304,11 @@ def mean_over_rows(
     def fn(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
         n, sums = 0, np.zeros(width)
         for pdf in batches:
-            sums += per_row(pdf).sum(axis=0)
-            n += len(pdf)
+            sums += (v := per_row(pdf)).sum(axis=0)
+            n += len(v)
         yield pd.DataFrame({"n": [n], "sums": [sums.tolist()]})
 
-    needed = list(dict.fromkeys([*(sw.attr for sw in table.switches), *table.cols]))
-    partials = collect_partials(df.select(*needed), fn, "n long, sums array<double>")
+    partials = collect_partials(df.select(*cols), fn, "n long, sums array<double>")
     n = sum(r["n"] for r in partials)
     total = sum((np.asarray(r["sums"]) for r in partials), np.zeros(width))
     return total / n if n else total
@@ -312,4 +317,4 @@ def mean_over_rows(
 def average_violation(df: DataFrame, c: Constraint) -> float:
     """Mean violation of ``df``'s tuples — the paper's drift magnitude."""
     table = compile_constraint(c)
-    return float(mean_over_rows(df, table, table.violation)[0])
+    return float(mean_over_rows(df, table.columns, table.violation)[0])

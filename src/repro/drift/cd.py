@@ -10,21 +10,20 @@ bins).  A new window is scored per component against the reference density:
 * ``CD-Area`` — max over components of 1 - sum_i min(p_i, q_i)
                 (one minus the intersection area of the two densities).
 
-Histograms are computed with one Catalyst bucketing expression per
-component and a single groupBy on all k of them, so only the (at most
-bins^k) joint cell counts ever reach the driver.
+Each histogram is the mean of the tuples' one-hot bucket indicators, one
+``scoring.mean_over_rows`` pass; tuples with a null, NaN or ±inf feature are
+left out (the Gram pass's own rule).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 from typing import Sequence
 
 import numpy as np
 from pyspark.sql import DataFrame
-from pyspark.sql import functions as Fn
 
-from repro.core.gram import augmented_gram
+from repro.core.gram import augmented_gram, finite_rows
+from repro.core.scoring import mean_over_rows
 
 _SMOOTH = 1e-6
 
@@ -39,28 +38,18 @@ class CDModel:
     ref_probs: np.ndarray  # (k, bins)
 
 
-def _bucket_expr(cols: Sequence[str], w: np.ndarray, lo: float, width: float, bins: int):
-    f = reduce(
-        lambda a, x: a + x, [Fn.col(c) * Fn.lit(float(wi)) for c, wi in zip(cols, w)]
-    )
-    raw = Fn.floor((f - Fn.lit(float(lo))) / Fn.lit(float(width)))
-    return Fn.least(Fn.lit(bins - 1), Fn.greatest(Fn.lit(0), raw.cast("int")))
-
-
 def _histograms(df: DataFrame, model_cols, components, lows, widths, bins) -> np.ndarray:
-    """(k, bins) normalized histograms from one grouped aggregation: the
-    counts of the joint (at most bins^k) bucket cells, summed on the driver
-    into each component's marginal."""
-    buckets = [
-        _bucket_expr(model_cols, w, lo, width, bins).alias(f"b{j}")
-        for j, (w, lo, width) in enumerate(zip(components, lows, widths))
-    ]
-    out = np.zeros((len(components), bins))
-    for row in df.groupBy(*buckets).count().collect():
-        for j in range(len(buckets)):
-            out[j, int(row[j])] += row["count"]
-    totals = out.sum(axis=1, keepdims=True)
-    return np.divide(out, totals, out=out, where=totals > 0)
+    """(k, bins) normalized histograms, zeros if no tuple is kept: component j
+    puts t in bucket ``floor((w_j . t - lo_j) / width_j)``, clipped to
+    ``[0, bins - 1]``."""
+    k = len(components)
+
+    def per_row(pdf):
+        x = finite_rows(pdf[list(model_cols)].to_numpy(dtype=np.float64))
+        b = np.clip(np.floor((x @ components.T - lows) / widths), 0, bins - 1)
+        return (b[:, :, None] == np.arange(bins)).reshape(len(x), k * bins)
+
+    return mean_over_rows(df, model_cols, per_row, k * bins).reshape(k, bins)
 
 
 def fit_cd(df: DataFrame, cols: Sequence[str], k: int = 2, bins: int = 20) -> CDModel:

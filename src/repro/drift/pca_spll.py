@@ -16,14 +16,13 @@ detect drift ... by discarding all principal components").
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 from typing import Sequence
 
 import numpy as np
 from pyspark.sql import DataFrame
-from pyspark.sql import functions as Fn
 
-from repro.core.gram import augmented_gram
+from repro.core.gram import augmented_gram, finite_rows
+from repro.core.scoring import mean_over_rows
 
 
 @dataclass(frozen=True)
@@ -64,21 +63,19 @@ def fit_pca_spll(
 
 
 def spll_drift(df: DataFrame, model: SPLLModel) -> float:
-    """Mean squared z-score in the retained subspace, minus its null value 1.
+    """Mean squared z-score in the retained subspace, minus its null value 1,
+    from one ``mean_over_rows`` pass over the tuples of ``df`` with no null,
+    NaN or ±inf feature (the Gram pass's own rule).
 
-    Returns 0.0 when no components were retained (the failure mode).
-    Evaluated as one Catalyst aggregation.
+    Returns 0.0 when no components were retained (the failure mode) or no
+    tuple is kept.
     """
     if model.n_retained == 0:
         return 0.0
-    terms = []
-    for w, mu, sd in zip(model.components, model.comp_means, model.comp_stds):
-        f = reduce(
-            lambda a, x: a + x,
-            [Fn.col(c) * Fn.lit(float(wi)) for c, wi in zip(model.cols, w)],
-        )
-        z = (f - Fn.lit(float(mu))) / Fn.lit(float(sd))
-        terms.append(z * z)
-    expr = reduce(lambda a, x: a + x, terms) / Fn.lit(float(model.n_retained))
-    row = df.select(Fn.avg(expr).alias("s")).first()
-    return max(float(row["s"]) - 1.0, 0.0)
+
+    def per_row(pdf):
+        x = finite_rows(pdf[list(model.cols)].to_numpy(dtype=np.float64))
+        z = (x @ model.components.T - model.comp_means) / model.comp_stds
+        return (z * z).mean(axis=1)
+
+    return max(float(mean_over_rows(df, model.cols, per_row)[0]) - 1.0, 0.0)

@@ -30,6 +30,7 @@ tuple's responsibilities never depend on the other tuples of its batch.
 """
 from __future__ import annotations
 
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -141,7 +142,6 @@ def responsibilities(
     table = compile_constraint(constraint, cols)
     if table.means is None:
         raise ValueError("cannot derive intervention targets: constraint records no col_means")
-    mean = mean_over_rows(
-        df, table, lambda pdf: _batch_responsibilities(table, pdf, eps, max_steps), len(table.cols)
-    )
+    per_row = partial(_batch_responsibilities, table, eps=eps, max_steps=max_steps)
+    mean = mean_over_rows(df, table.columns, per_row, len(table.cols))
     return pd.Series(mean, index=list(table.cols), name="responsibility")

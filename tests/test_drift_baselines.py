@@ -11,6 +11,7 @@ from repro.datasets.evl import evl_window_pdf
 from repro.drift.cd import cd_divergences, fit_cd
 from repro.drift.pca_spll import fit_pca_spll, spll_drift
 from repro.oracle import assert_equivalent
+from tests.helpers import on_executors
 
 
 def _gauss_pdf(center, n=1500, std=0.5, seed=0, cols=("d0", "d1")):
@@ -97,8 +98,9 @@ def test_cd_histograms_are_normalized(spark):
 
 
 def test_cd_histogram_counts_against_duckdb_oracle(spark):
-    """The bucketing expression is plain SQL — cross-check each component's
-    histogram, the marginal of one joint aggregation, with DuckDB."""
+    """The bucketing rule is plain SQL — cross-check each component's
+    histogram, one slice of the mean one-hot bucket indicator of a single
+    ``mean_over_rows`` pass, with DuckDB."""
     pdf = _gauss_pdf((0, 0), n=800, seed=9)
     df = spark.createDataFrame(pdf)
     model = fit_cd(df, ["d0", "d1"], k=2, bins=10)
@@ -140,6 +142,53 @@ def test_cd_detects_global_shift(spark, method):
 
 
 # ---------------------------------------------------------------------------
+# Windows with rows no score can use, and windows without rows
+# ---------------------------------------------------------------------------
+
+
+def _with_bad_rows(spark, pdf):
+    """``pdf`` as a Spark frame, plus rows with a null, a NaN and an inf.
+    (Arrow would turn a pandas NaN into a null, so SQL writes them.)"""
+    bad = spark.sql(
+        "SELECT * FROM VALUES (CAST(NULL AS DOUBLE), 1.0D), (double('NaN'), 0.5D), "
+        "(0.0D, double('Infinity')) AS t(d0, d1)"
+    )
+    return spark.createDataFrame(pdf).union(bad)
+
+
+def test_rows_with_a_non_finite_feature_are_left_out(spark):
+    """A row with a null, NaN or inf feature is left out of both scores and
+    of CD's reference histogram, as the Gram pass leaves it out of the
+    moments the models are fit on."""
+    ref, win = _anisotropic_pdf(seed=18), _anisotropic_pdf(seed=19)
+    win["d1"] += 0.5
+    clean = spark.createDataFrame(win)
+    spll = fit_pca_spll(spark.createDataFrame(ref), ["d0", "d1"])
+    assert spll_drift(_with_bad_rows(spark, win), spll) == spll_drift(clean, spll) > 0
+    cd = fit_cd(spark.createDataFrame(ref), ["d0", "d1"])
+    assert (fit_cd(_with_bad_rows(spark, ref), ["d0", "d1"]).ref_probs == cd.ref_probs).all()
+    assert cd_divergences(_with_bad_rows(spark, win), cd) == cd_divergences(clean, cd)
+
+
+def test_empty_window_scores(spark):
+    """A window without rows scores 0 on PCA-SPLL.  Its CD histogram is all
+    zeros, which smoothing turns into the uniform density: CD-Area is 1 and
+    CD-MKL the larger KL divergence between the reference and uniform."""
+    ref = spark.createDataFrame(_anisotropic_pdf(seed=20))
+    empty = ref.limit(0)
+    spll = fit_pca_spll(ref, ["d0", "d1"])
+    assert spll.n_retained == 1
+    assert spll_drift(empty, spll) == 0.0
+    cd = fit_cd(ref, ["d0", "d1"], bins=10)
+    p = (cd.ref_probs + 1e-6) / (cd.ref_probs + 1e-6).sum(axis=1, keepdims=True)
+    u = np.full(10, 0.1)
+    kl = [max(np.sum(pj * np.log(pj / u)), np.sum(u * np.log(u / pj))) for pj in p]
+    got = cd_divergences(empty, cd)
+    assert got["area"] == 1.0
+    assert got["mkl"] == pytest.approx(max(kl), rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
 # W-PCA
 # ---------------------------------------------------------------------------
 
@@ -152,3 +201,19 @@ def test_wpca_drift_detects_relationship_break(spark):
     broken["d1"] = broken["d1"] + 4.0
     assert average_violation(spark.createDataFrame(pdf), model) < 0.02
     assert average_violation(spark.createDataFrame(broken), model) > 0.2
+
+
+TestOnExecutors = on_executors(
+    test_spll_retains_low_variance_components,
+    test_spll_zero_on_identical_distribution,
+    test_spll_detects_shift_along_retained_direction,
+    test_spll_failure_mode_isotropic_reference,
+    test_spll_monotone_in_shift,
+    test_cd_model_components_high_variance_first,
+    test_cd_histograms_are_normalized,
+    test_cd_histogram_counts_against_duckdb_oracle,
+    test_cd_zero_on_identical_near_zero,
+    test_cd_detects_global_shift,
+    test_rows_with_a_non_finite_feature_are_left_out,
+    test_empty_window_scores,
+)

@@ -133,6 +133,19 @@ def test_moments_keep_exactly_the_rows_of_finite_values():
     np.testing.assert_allclose(mean, x[[0, 2, 4]].mean(axis=0))
 
 
+@pytest.mark.parametrize("layout", [np.ascontiguousarray, np.asfortranarray])
+def test_a_dropped_row_leaves_the_others_bits(layout):
+    """A batch with a row of non-finite values gives the bits of the same
+    batch, in the same memory layout, without that row: BLAS sums a C- and a
+    Fortran-ordered matrix in different orders, and Arrow hands the kernel
+    Fortran-ordered batches while boolean indexing returns C order."""
+    x = np.random.default_rng(3).normal(1e3, 1.0, (500, 5))
+    broken = x.copy()
+    broken[7, 2] = np.inf
+    got, want = _moments_of(layout(broken)), _moments_of(layout(np.delete(x, 7, axis=0)))
+    assert got[0] == want[0] and (got[1] == want[1]).all() and (got[2] == want[2]).all()
+
+
 def test_gram_requires_columns(spark):
     df = spark.createDataFrame(pd.DataFrame({"s": ["a", "b"]}))
     with pytest.raises(ValueError):
