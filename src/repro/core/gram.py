@@ -21,12 +21,14 @@ keys — in one scan: one kernel, one Spark job.  ``augmented_gram`` and
 ``grouped_augmented_gram`` are its no-switch and one-switch cases.
 
 Where the kernel runs is decided by ``collect_partials``, which every pass
-goes through: this one and ``scoring.mean_over_rows`` (violations, ExTuNe,
-drift baselines).  A small input is collected to the driver and reduced
-there as one batch: handing batches to the Python workers costs about 0.3 s
-a pass whatever the pass computes, more than the kernel itself takes on the
-paper's windows of a few thousand rows.  Larger inputs are reduced where
-they sit, one partial per Spark partition.
+goes through: this one and ``scoring.mean_over_rows`` (violations, MAE,
+ExTuNe, drift baselines).  An input whose plan is at most
+``LOCAL_PASS_BYTES`` (64 MiB: the paper's windows and airlines' 200 K-row
+training split alike) is collected to the driver and reduced there as one
+batch: handing batches to the Python workers costs about 0.3 s a pass
+whatever the pass computes, more than the kernel itself takes on such an
+input.  Larger inputs are reduced where they sit, one partial per Spark
+partition.
 """
 from __future__ import annotations
 
@@ -133,12 +135,22 @@ def _unpack(n: int, packed: Sequence[float], m: int) -> Moments:
 
 
 #: A pass whose input plan Spark estimates at no more than this many bytes
-#: runs its kernel on the driver.  It is Spark's default broadcast-join
-#: threshold, and like that threshold it bounds the driver memory a collected
-#: input takes; it is not a speed crossover (the driver was still faster at
-#: 20 MB).  A plan of unknown size reports ``spark.sql.defaultSizeInBytes``
+#: runs its kernel on the driver.  It lies below the speed crossover: the
+#: executors only win once one core's kernel time outgrows the 0.25-0.3 s
+#: hand-off to the Python workers, about 1 M rows for airlines' 26-atom
+#: violation kernel (an estimate), while 64 MiB is about 600 K rows at
+#: airlines' width.  It also bounds the driver memory a collected input
+#: takes.  A plan of unknown size reports ``spark.sql.defaultSizeInBytes``
 #: and stays on the executors.
-LOCAL_PASS_BYTES = 10 << 20
+LOCAL_PASS_BYTES = 64 << 20
+
+
+def select_columns(df: DataFrame, cols: Sequence[str]) -> DataFrame:
+    """``df`` restricted to the top-level columns ``cols``, named in one JVM
+    call: ``select`` resolves every name through its own ``col`` call (on a
+    4-core machine, 18 ms for LED's 25 columns, against 9 ms here) and reads
+    ``x.1`` as field ``1`` of a struct ``x``."""
+    return df.selectExpr(*("`" + c.replace("`", "``") + "`" for c in cols))
 
 
 def collect_partials(
@@ -155,16 +167,26 @@ def collect_partials(
     task applies ``fn`` to its partition's batches (``mapInPandas`` with
     output ``schema``), and the driver collects their rows.
 
-    The analyzed plan, not the optimized one: ``df`` is a fresh ``select``,
-    and optimizing it would look it up in the cache manager, which
-    canonicalizes a local relation row by row (on a 4-core machine, 60 ms
-    for a cached 200 K x 12 frame, 350 ms uncached), only for the job to
-    optimize its own plan again.
+    The analyzed plan, not the optimized one: ``df`` is a fresh
+    ``select_columns``, and optimizing it would look it up in the cache
+    manager, which canonicalizes a local relation row by row (on a 4-core
+    machine, 60 ms for a cached 200 K x 12 frame, 350 ms uncached), only for
+    the job to optimize its own plan again.
     The estimates agree up to the cache's encoding (20.8 MB analyzed, 19.2 MB
     cached, for that frame).
     """
     if df._jdf.queryExecution().analyzed().stats().sizeInBytes() > LOCAL_PASS_BYTES:
-        return df.mapInPandas(fn, schema=schema).collect()
+        # mapInPandas looks every column up by name, reading ``x.1`` as a
+        # struct field: the tasks get positional names, the kernel the real ones
+        names = df.columns
+
+        def named(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
+            for pdf in batches:
+                pdf.columns = names
+                yield pdf
+
+        positional = df.toDF(*(f"_{i}" for i in range(len(names))))
+        return positional.mapInPandas(lambda batches: fn(named(batches)), schema=schema).collect()
     pdf = df.toPandas()
     return [r for out in fn(iter([pdf] if len(pdf) else [])) for r in out.to_dict("records")]
 
@@ -272,7 +294,7 @@ def gram_pass(
     needed = dict.fromkeys([*attrs, *(cols or []), *(c for bc in switches.values() for c in bc)])
     types = {a: df.schema[a].dataType.simpleString() for a in attrs}
     partials = collect_partials(
-        df.select(*needed),
+        select_columns(df, needed),
         _partial_grams_fn(cols, switches, types, max_keys),
         "s int, v string, n long, g array<double>",
     )

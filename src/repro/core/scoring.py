@@ -29,12 +29,13 @@ indices; ``AtomTable.met`` gives, once per combination, the atoms its tuples
 meet as one stacked block and the weight of the parts where they meet none.
 The scorer applies ``eta_sum`` to that block, and ExTuNe intervenes on it.
 ``mean_over_rows`` is the one reduction behind ``average_violation``,
-ExTuNe's ``responsibilities`` and the drift baselines' window scores.  It
-runs through ``gram.collect_partials``,
-as the Gram pass does: on the driver when the input's plan is at most
-``gram.LOCAL_PASS_BYTES`` (10 MiB), which skips the Python workers' fixed
-hand-off cost on the paper's small windows, else in ``mapInPandas``.  The
-SQL walk matches branches with ``attr = CAST('<key>' AS <type>)``.
+ExTuNe's ``responsibilities``, ``linreg.mae`` and the drift baselines'
+window scores.  It runs through ``gram.collect_partials``, as the Gram
+pass does: on the driver when the input's plan is at most
+``gram.LOCAL_PASS_BYTES`` (64 MiB), which skips the Python workers' fixed
+hand-off cost on inputs up to airlines' training split, else in
+``mapInPandas``.  The SQL walk matches branches with
+``attr = CAST('<key>' AS <type>)``.
 """
 from __future__ import annotations
 
@@ -54,7 +55,7 @@ from repro.core.constraints import (
     SimpleConstraint,
     branch_value,
 )
-from repro.core.gram import collect_partials
+from repro.core.gram import collect_partials, select_columns
 
 
 @dataclass(frozen=True)
@@ -308,7 +309,7 @@ def mean_over_rows(
             n += len(v)
         yield pd.DataFrame({"n": [n], "sums": [sums.tolist()]})
 
-    partials = collect_partials(df.select(*cols), fn, "n long, sums array<double>")
+    partials = collect_partials(select_columns(df, cols), fn, "n long, sums array<double>")
     n = sum(r["n"] for r in partials)
     total = sum((np.asarray(r["sums"]) for r in partials), np.zeros(width))
     return total / n if n else total

@@ -5,8 +5,14 @@ Fitting solves the centered normal equations ``S_xx beta = S_xy``, with
 pass over ``features + [target]`` (see ``repro.core.gram``).  A tiny ridge
 term on ``beta`` keeps the solve well-posed when features are collinear (the
 airlines data intentionally has near-collinear time attributes); it equals
-the raw normal equations' ridge with an unpenalized intercept.  Prediction
-and MAE are pure Catalyst expressions.
+the raw normal equations' ridge with an unpenalized intercept.
+
+``mae`` is one ``scoring.mean_over_rows`` pass of ``|y - predict_numpy(x)|``,
+on the driver or the executors as ``gram.collect_partials`` decides.  It
+leaves out rows with a null, NaN or ±inf feature or target (``finite_rows``,
+the Gram pass's rule): Catalyst's ``avg`` skipped nulls but returned NaN
+for a NaN.  ``predict_col`` and ``absolute_error_col`` are the prediction
+and the absolute error as Catalyst columns, for per-tuple output.
 """
 from __future__ import annotations
 
@@ -15,10 +21,12 @@ from functools import reduce
 from typing import Sequence
 
 import numpy as np
+import pandas as pd
 from pyspark.sql import Column, DataFrame
 from pyspark.sql import functions as Fn
 
-from repro.core.gram import augmented_gram
+from repro.core.gram import augmented_gram, finite_rows
+from repro.core.scoring import mean_over_rows
 
 
 @dataclass(frozen=True)
@@ -70,11 +78,15 @@ def with_prediction(df: DataFrame, model: LinearModel, col_name: str = "predicti
 
 
 def mae(df: DataFrame, model: LinearModel, target: str) -> float:
-    """Mean absolute error of the model on ``df`` (one Spark aggregation)."""
-    row = df.select(
-        Fn.avg(Fn.abs(Fn.col(target) - predict_col(model))).alias("mae")
-    ).first()
-    return float(row["mae"])
+    """Mean absolute error of the model over the rows of ``df`` whose
+    features and target are all finite (one pass); 0 if there are none."""
+    cols = [*model.feature_cols, target]
+
+    def abs_error(pdf: pd.DataFrame) -> np.ndarray:
+        xy = finite_rows(pdf[cols].to_numpy(dtype=np.float64))
+        return np.abs(xy[:, -1] - model.predict_numpy(xy[:, :-1]))
+
+    return float(mean_over_rows(df, cols, abs_error)[0])
 
 
 def absolute_error_col(model: LinearModel, target: str) -> Column:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 import pytest
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as Fn
@@ -30,6 +31,17 @@ def on_executors(*tests) -> type:
     members = {t.__name__: staticmethod(t) for t in tests}
     marks = {"pytestmark": pytest.mark.usefixtures("executors")}
     return type("TestOnExecutors", (), {**marks, **members})
+
+
+def spark_frame(spark, pdf: pd.DataFrame, schema: str | None = None) -> DataFrame:
+    """``spark.createDataFrame(pdf, schema)`` that keeps a NaN of a float64
+    column a NaN.  Arrow's ``from_pandas`` masks a pandas NaN as null, so
+    each null it makes in such a column is replaced, in Spark, by
+    ``CAST('NaN' AS DOUBLE)``; those columns hold no null."""
+    df = spark.createDataFrame(pdf, schema)
+    nan = Fn.expr("CAST('NaN' AS DOUBLE)")
+    has_nan = [c for c in pdf.columns if pdf[c].dtype == np.float64 and pdf[c].isna().any()]
+    return df.withColumns({c: Fn.coalesce(Fn.col(c), nan) for c in has_nan})
 
 
 def linear_pdf(
@@ -93,11 +105,21 @@ def frame_moments(pdf: pd.DataFrame, cols: list[str]) -> GramResult:
     return GramResult(tuple(cols), len(x), mean, xc.T @ xc)
 
 
-def kernel_moments(pdf: pd.DataFrame, cols: list[str], batch: int = 10_000) -> GramResult:
+def arrow_batches(pdf: pd.DataFrame, batch: int = 10_000) -> list[pd.DataFrame]:
+    """``pdf`` cut into ``batch``-row frames that went through Arrow, as
+    either runner hands its batches to a kernel: a float block comes out
+    Fortran-ordered, which BLAS sums in another order than C order."""
+    return [
+        pa.Table.from_pandas(pdf.iloc[s : s + batch], preserve_index=False).to_pandas()
+        for s in range(0, len(pdf), batch)
+    ]
+
+
+def kernel_moments(batches: list[pd.DataFrame], cols: list[str]) -> GramResult:
     """``augmented_gram`` without Spark: the Gram pass's partition kernel run
-    in-process over ``batch``-row slices of ``pdf``, as one partition."""
+    in-process over ``batches`` (``arrow_batches``), as one partition."""
     fn = _partial_grams_fn(list(cols), {}, {}, None)
-    (row,) = next(fn(pdf.iloc[s : s + batch] for s in range(0, len(pdf), batch))).itertuples()
+    (row,) = next(fn(iter(batches))).itertuples()
     return GramResult(tuple(cols), *_unpack(row.n, row.g, len(cols)))
 
 

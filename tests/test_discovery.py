@@ -26,12 +26,14 @@ from repro.core.discovery import (
 from repro.core.gram import numeric_columns
 from repro.core.scoring import average_violation, violation_numpy
 from tests.helpers import (
+    arrow_batches,
     catalyst_average,
     grouped_constraint,
     kernel_moments,
     linear_pdf,
     on_executors,
     piecewise_pdf,
+    spark_frame,
 )
 
 
@@ -195,8 +197,10 @@ def test_an_infinite_value_drops_its_row(spark, bad):
     broken, nan = pdf.copy(), pdf.copy()
     broken.loc[5, "y"], nan.loc[5, "y"] = bad, np.nan
     got = discover(spark.createDataFrame(broken))
-    want = discover(spark.createDataFrame(nan).dropna())
-    assert constraint_to_dict(got) == constraint_to_dict(discover(spark.createDataFrame(nan)))
+    nan_df = spark_frame(spark, nan)
+    assert nan_df.where(Fn.isnan("y")).count() == 1
+    want = discover(nan_df.dropna())
+    assert constraint_to_dict(got) == constraint_to_dict(discover(nan_df))
     assert constraint_to_dict(got) == constraint_to_dict(want)
     assert [getattr(p, "n", None) for p in got.parts] == [len(pdf) - 1, None]
 
@@ -220,7 +224,7 @@ def test_sigma_and_training_violation_wherever_the_data_sits(spark, via, offset,
     cols = ["a", "b", "c"]
     pdf = offset + scale * linear_pdf(n=2000)
     if via == "kernel":
-        c = simple_from_gram(kernel_moments(pdf, cols, batch=700))
+        c = simple_from_gram(kernel_moments(arrow_batches(pdf, 700), cols))
         train_violation = violation_numpy(c, pdf).mean()
     else:
         df = spark.createDataFrame(pdf).repartition(3)
@@ -281,7 +285,7 @@ def test_only_atomic_non_numeric_columns_are_switch_candidates(spark):
 def _spread(spark, pdf, *by):
     """``pdf`` as a cached DataFrame of 8 partitions (hash partitioned on
     ``by`` if given), so that repeated passes see the same row order."""
-    df = spark.createDataFrame(pdf).repartition(8, *by).cache()
+    df = spark_frame(spark, pdf).repartition(8, *by).cache()
     df.count()
     return df
 

@@ -22,7 +22,9 @@ from repro.core.gram import (
 )
 from repro.core.projections import augmented_factor
 from repro.core.scoring import average_violation
+from repro.datasets.airlines import FEATURE_COLS, TARGET, airlines_pdf
 from repro.explain.extune import responsibilities
+from repro.ml.linreg import fit_ols, mae
 from repro.oracle import assert_equivalent
 from tests.helpers import (
     augmented,
@@ -32,6 +34,7 @@ from tests.helpers import (
     on_executors,
     piecewise_pdf,
     random_unit_vectors,
+    spark_frame,
 )
 
 
@@ -99,12 +102,12 @@ def test_gram_is_symmetric_psd(spark):
 def test_gram_drops_nan_rows(spark):
     pdf = linear_pdf(n=100, seed=6)
     pdf.loc[::10, "b"] = np.nan
-    df = spark.createDataFrame(pdf)
-    res = augmented_gram(df, ["a", "b", "c"])
     clean = pdf.dropna()
     n_ref, g_ref = numpy_aug_gram(clean, ["a", "b", "c"])
-    assert res.n == n_ref
-    np.testing.assert_allclose(augmented(res), g_ref, rtol=1e-9, atol=1e-6)
+    for df in (spark_frame(spark, pdf), spark.createDataFrame(pdf)):  # NaN, then null
+        res = augmented_gram(df, ["a", "b", "c"])
+        assert res.n == n_ref
+        np.testing.assert_allclose(augmented(res), g_ref, rtol=1e-9, atol=1e-6)
     # An empty record merges as a no-op, and a partition whose rows all have
     # a NaN changes nothing.
     r = _moments_of(clean[["a", "b", "c"]].to_numpy())
@@ -365,7 +368,7 @@ def test_a_pass_runs_on_the_executors_only_above_the_limit(spark, monkeypatch):
     """A Gram pass or a mean violation whose input plan is at most
     ``LOCAL_PASS_BYTES`` starts no Python worker; one byte more, or a plan
     of unknown size, and it runs in ``mapInPandas``."""
-    assert gram.LOCAL_PASS_BYTES == 10 << 20
+    assert gram.LOCAL_PASS_BYTES == 64 << 20
     df = spark.createDataFrame(linear_pdf(n=300, seed=16))
     calls = []
     real = type(df).mapInPandas
@@ -394,6 +397,39 @@ def test_a_pass_runs_on_the_executors_only_above_the_limit(spark, monkeypatch):
     assert _plan_bytes(unknown) > gram.LOCAL_PASS_BYTES
     assert augmented_gram(unknown).n == ref.n
     assert len(calls) == 1
+
+
+def test_airlines_training_passes_run_on_the_driver(spark, monkeypatch):
+    """An airlines job's passes over its 200 K-row training split, a plan
+    above 10 MiB, start no Python worker: ``discover``, ``fit_ols``,
+    ``average_violation`` and ``mae``."""
+    train = spark.createDataFrame(airlines_pdf(200_000, seed=0).drop(columns=["is_overnight"]))
+    assert 10 << 20 < _plan_bytes(train) <= gram.LOCAL_PASS_BYTES
+    calls = []
+    real = type(train).mapInPandas
+
+    def spy(self, *args, **kwargs):
+        calls.append(_plan_bytes(self))
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(type(train), "mapInPandas", spy)
+    c = discover(train, cols=FEATURE_COLS)
+    model = fit_ols(train, FEATURE_COLS, TARGET)
+    assert average_violation(train, c) < 1e-3
+    assert 15 < mae(train, model, TARGET) < 25  # the Laplace noise's MAE, 19
+    assert calls == []
+
+
+@pytest.mark.parametrize("runner", ["driver", "executors"])
+def test_a_dotted_column_name_is_one_column(spark, monkeypatch, runner):
+    """A column named ``x.1`` is read as that column, not as field ``1`` of
+    a struct ``x``, by the Gram pass and by the mean-over-rows pass, on
+    either runner."""
+    monkeypatch.setattr(gram, "LOCAL_PASS_BYTES", math.inf if runner == "driver" else -1)
+    df = spark.createDataFrame(linear_pdf(n=300, seed=18)).withColumnRenamed("a", "x.1")
+    c = discover(df)
+    assert c.parts[0].conjuncts[0].cols == ("x.1", "b", "c")
+    assert average_violation(df, c) < 0.02
 
 
 @pytest.mark.parametrize("runner", ["driver", "executors"])

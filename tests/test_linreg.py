@@ -4,10 +4,11 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 import pytest
+from pyspark.sql import functions as Fn
 
 from repro.ml.linreg import absolute_error_col, fit_ols, mae, predict_col, with_prediction
 from repro.oracle import assert_equivalent
-from tests.helpers import linear_pdf
+from tests.helpers import linear_pdf, on_executors
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -71,3 +72,26 @@ def test_absolute_error_col(spark):
     got = df.select(absolute_error_col(model, "c").alias("e")).toPandas()["e"]
     assert (got >= 0).all()
     assert got.mean() == pytest.approx(mae(df, model, "c"), rel=1e-9)
+
+
+def test_mae_leaves_out_rows_with_a_missing_or_infinite_value(spark):
+    """A row with a null or NaN feature, or an infinite target, is left out:
+    MAE equals Catalyst's ``avg`` of the absolute error over the finite
+    rows, and 0 on a frame with none."""
+    df = spark.createDataFrame(linear_pdf(n=200, noise=1.0, seed=8))
+    model = fit_ols(df, ["a", "b"], "c")
+    bad = spark.sql(
+        "SELECT * FROM VALUES (CAST(NULL AS DOUBLE), 1.0D, 2.0D), "
+        "(1.0D, CAST('NaN' AS DOUBLE), 2.0D), (1.0D, 2.0D, double('-Infinity')) AS t(a, b, c)"
+    )
+    assert bad.where(Fn.isnan("b")).count() == 1 and bad.where(Fn.isnull("a")).count() == 1
+    want = df.select(Fn.avg(Fn.abs(Fn.col("c") - predict_col(model)))).first()[0]
+    assert mae(df.union(bad), model, "c") == pytest.approx(want, rel=1e-12)
+    assert mae(bad, model, "c") == 0.0
+
+
+TestOnExecutors = on_executors(
+    test_mae_against_duckdb_oracle,
+    test_absolute_error_col,
+    test_mae_leaves_out_rows_with_a_missing_or_infinite_value,
+)

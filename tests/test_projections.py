@@ -7,7 +7,14 @@ import pytest
 
 from repro.core.gram import augmented_gram
 from repro.core.projections import derive_projections, importance_raw
-from tests.helpers import augmented, frame_moments, kernel_moments, linear_pdf, random_unit_vectors
+from tests.helpers import (
+    arrow_batches,
+    augmented,
+    frame_moments,
+    kernel_moments,
+    linear_pdf,
+    random_unit_vectors,
+)
 
 
 def test_example3_zero_variance_projection():
@@ -142,7 +149,7 @@ def test_min_sigma_wherever_the_data_sits(offset, scale):
     the projection's mean (1e5/sqrt(3), next to sigma = 2.9e4)."""
     cols = ["a", "b", "c"]
     pdf = offset + scale * linear_pdf(n=2000)
-    got = min(p.std for p in derive_projections(kernel_moments(pdf, cols, batch=700)))
+    got = min(p.std for p in derive_projections(kernel_moments(arrow_batches(pdf, 700), cols)))
     x = pdf[cols].to_numpy()
     xc = x - x.mean(axis=0)
     planted = float(np.sqrt(np.linalg.eigvalsh(xc.T @ xc / len(x))[0]))

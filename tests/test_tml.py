@@ -10,7 +10,7 @@ from repro.core.discovery import discover, discover_simple
 from repro.core.scoring import violation_col, violation_numpy
 from repro.datasets.airlines import FEATURE_COLS, splits_pdf
 from repro.tml import equality_check_non_conforming, flag_non_conforming, ite
-from tests.helpers import piecewise_pdf
+from tests.helpers import piecewise_pdf, spark_frame
 
 #: Example 5's annotated dataset: D = {(0,1),(0,2),(0,3)}, Y = [1,2,3].
 D_EX5 = pd.DataFrame({"A1": [0.0, 0.0, 0.0], "A2": [1.0, 2.0, 3.0]})
@@ -90,7 +90,7 @@ def test_flags_match_catalyst_twin_on_missing_values(spark):
     pdf = pdf.astype({"grp": object})
     pdf.loc[[0, 1, 2], "grp"] = ["g9", None, "g0"]
     pdf.loc[2, "x"] = np.nan
-    df = spark.createDataFrame(pdf, "grp string, x double, y double")
+    df = spark_frame(spark, pdf, "grp string, x double, y double")
     for rows in _assert_flags_match_catalyst_twin(df, c):
         missing = rows["grp"].isna() | (rows["grp"] == "g9") | rows["x"].isna()
         assert missing.sum() == 3
