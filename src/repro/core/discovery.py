@@ -51,20 +51,16 @@ from repro.core.gram import (
 )
 from repro.core.projections import derive_projections, importance_raw
 
-#: Paper's default deviation multiplier: lb, ub = mu -/+ C * sigma.
-DEFAULT_C = 4.0
+#: Paper's deviation multiplier: lb, ub = mu -/+ C * sigma.
+C = 4.0
 #: Paper's partitioning threshold: attributes with <= 50 distinct values.
-DEFAULT_MAX_BRANCHES = 50
-#: Partitions with fewer rows, or with no more rows than numerical attributes
-#: (a rank-deficient scatter), get a trivial (always satisfied) constraint —
-#: "no evidence" rather than a degenerate sigma=0 overfit (see DESIGN.md §3).
-DEFAULT_MIN_PARTITION_ROWS = 2
+MAX_BRANCHES = 50
 #: Spark types an attribute must have to be auto-selected as a switch: atomic
 #: and non-numeric.  Arrays, maps, structs and binary are never candidates.
 SWITCH_TYPES = (StringType, BooleanType, DateType, TimestampType, TimestampNTZType, DecimalType)
 
 
-def simple_from_gram(gram: GramResult, C: float = DEFAULT_C) -> SimpleConstraint:
+def simple_from_gram(gram: GramResult) -> SimpleConstraint:
     """Build a simple constraint from a precomputed moments record.  Sigma is
     floored at float64's rounding of ``w . t`` near the training mean: on
     columns far from 0 a narrower bound rejects the training data."""
@@ -91,44 +87,35 @@ def simple_from_gram(gram: GramResult, C: float = DEFAULT_C) -> SimpleConstraint
     )
 
 
-def discover_simple(
-    df: DataFrame, cols: Sequence[str] | None = None, C: float = DEFAULT_C
-) -> SimpleConstraint:
+def discover_simple(df: DataFrame, cols: Sequence[str] | None = None) -> SimpleConstraint:
     """Learn the paper's simple (conjunctive) constraint for ``df``."""
     cols = list(cols) if cols is not None else numeric_columns(df)
-    return simple_from_gram(augmented_gram(df, cols), C=C)
+    return simple_from_gram(augmented_gram(df, cols))
 
 
 def discover_disjunctive(
-    df: DataFrame,
-    attr: str,
-    cols: Sequence[str] | None = None,
-    C: float = DEFAULT_C,
-    min_partition_rows: int = DEFAULT_MIN_PARTITION_ROWS,
+    df: DataFrame, attr: str, cols: Sequence[str] | None = None
 ) -> DisjunctiveConstraint:
     """Learn ``OR((attr = v) ▷ phi_v)`` with one grouped Gram pass over ``df``."""
     cols = list(cols) if cols is not None else [c for c in numeric_columns(df) if c != attr]
     grouped = grouped_augmented_gram(df, attr, cols)
     attr_type = df.schema[attr].dataType.simpleString()
-    return disjunctive_from_grams(attr, attr_type, grouped, C, min_partition_rows)
+    return disjunctive_from_grams(attr, attr_type, grouped)
 
 
 def disjunctive_from_grams(
-    attr: str,
-    attr_type: str,
-    grouped: dict[str, GramResult],
-    C: float = DEFAULT_C,
-    min_partition_rows: int = DEFAULT_MIN_PARTITION_ROWS,
+    attr: str, attr_type: str, grouped: dict[str, GramResult]
 ) -> DisjunctiveConstraint:
     """Build ``OR((attr = v) ▷ phi_v)`` from precomputed per-branch Grams of
-    a switch of Spark type ``attr_type``.  A branch of n rows over m columns
-    with n < ``min_partition_rows`` or n <= m is "no evidence": its scatter
-    has rank below m, so Algorithm 1 would bound m + 1 - n projections at
-    sigma = 0, which fresh tuples of the same distribution break."""
+    a switch of Spark type ``attr_type``.  A branch of n <= m rows over m
+    columns is "no evidence" and gets a trivial (always satisfied)
+    constraint: its scatter has rank below m, so Algorithm 1 would bound
+    m + 1 - n projections at sigma = 0, which fresh tuples of the same
+    distribution break (DESIGN.md §3)."""
     branches = {
         v: (
-            simple_from_gram(g, C=C)
-            if g.n >= min_partition_rows and g.n > len(g.cols)
+            simple_from_gram(g)
+            if g.n > len(g.cols)
             else SimpleConstraint(
                 conjuncts=(),
                 col_means=tuple(float(x) for x in g.mean),
@@ -154,12 +141,9 @@ def switch_candidates(df: DataFrame, numeric_cols: Sequence[str]) -> list[str]:
     ]
 
 
-def eligible_partition_attrs(
-    df: DataFrame,
-    numeric_cols: Sequence[str],
-    max_branches: int = DEFAULT_MAX_BRANCHES,
-) -> list[str]:
-    """Auto-select switch attributes: candidates with 2..max distinct values.
+def eligible_partition_attrs(df: DataFrame, numeric_cols: Sequence[str]) -> list[str]:
+    """Auto-select switch attributes: candidates with 2..``MAX_BRANCHES``
+    distinct values.
 
     Mirrors the paper's "attributes A_j for which |{t.A_j : t in D}| <= 50".
     Candidates are the ``switch_candidates``; numeric categorical attributes
@@ -173,23 +157,20 @@ def eligible_partition_attrs(
     counts = df.agg(
         *[Fn.countDistinct(Fn.col(c)).alias(c) for c in candidates]
     ).first()
-    return [c for c in candidates if 2 <= counts[c] <= max_branches]
+    return [c for c in candidates if 2 <= counts[c] <= MAX_BRANCHES]
 
 
 def discover(
     df: DataFrame,
     cols: Sequence[str] | None = None,
     partition_attrs: Sequence[str] | None = None,
-    C: float = DEFAULT_C,
-    max_branches: int = DEFAULT_MAX_BRANCHES,
     include_global: bool = True,
-    min_partition_rows: int = DEFAULT_MIN_PARTITION_ROWS,
 ) -> CompoundConstraint:
     """Learn the final compound constraint for ``df`` (DISYNTH's output).
 
     ``cols`` — numerical attributes to build projections over (default: all);
     ``partition_attrs`` — switch attributes (default: the
-    ``switch_candidates`` with 2..``max_branches`` distinct non-null values);
+    ``switch_candidates`` with 2..``MAX_BRANCHES`` distinct non-null values);
     ``include_global`` — also conjoin the global simple constraint (the W-PCA
     baseline equals ``include_global=True`` with no partition attrs).
     Every Gram comes from one ``gram_pass``, so this is one Spark job.
@@ -201,19 +182,15 @@ def discover(
         df,
         cols if include_global or auto or not attrs else None,
         {a: [c for c in cols if c != a] for a in attrs},
-        max_keys=max_branches if auto else None,
+        max_keys=MAX_BRANCHES if auto else None,
     )
-    if auto:  # the pass already dropped candidates with > max_branches keys
+    if auto:  # the pass already dropped candidates with > MAX_BRANCHES keys
         attrs = [a for a in attrs if grams.distinct.get(a, 0) >= 2]
     parts: list = []
     if include_global or not attrs:
-        parts.append(simple_from_gram(grams.total, C=C))
+        parts.append(simple_from_gram(grams.total))
     for attr in attrs:
         attr_type = df.schema[attr].dataType.simpleString()
-        parts.append(
-            disjunctive_from_grams(
-                attr, attr_type, grams.grouped[attr], C=C, min_partition_rows=min_partition_rows
-            )
-        )
+        parts.append(disjunctive_from_grams(attr, attr_type, grams.grouped[attr]))
     return CompoundConstraint(parts=tuple(parts))
 

@@ -38,6 +38,7 @@ from typing import Callable, Iterator, Mapping, Sequence
 import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame
+from pyspark.sql.types import StructType
 
 from repro.core.constraints import INTEGRAL_TYPE_NAMES, branch_keys
 
@@ -153,6 +154,26 @@ def select_columns(df: DataFrame, cols: Sequence[str]) -> DataFrame:
     return df.selectExpr(*("`" + c.replace("`", "``") + "`" for c in cols))
 
 
+def _map_in_pandas(
+    df: DataFrame,
+    fn: Callable[[Iterator[pd.DataFrame]], Iterator[pd.DataFrame]],
+    schema: str | StructType,
+) -> DataFrame:
+    """``df.mapInPandas(fn, schema)``, with ``fn`` reading the columns of
+    ``df`` by their own names.  ``mapInPandas`` looks every column up by
+    name, reading ``x.1`` as field ``1`` of a struct ``x``, so the tasks get
+    positional names and ``fn`` the real ones."""
+    names = df.columns
+
+    def named(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
+        for pdf in batches:
+            pdf.columns = names
+            yield pdf
+
+    positional = df.toDF(*(f"_{i}" for i in range(len(names))))
+    return positional.mapInPandas(lambda batches: fn(named(batches)), schema=schema)
+
+
 def collect_partials(
     df: DataFrame,
     fn: Callable[[Iterator[pd.DataFrame]], Iterator[pd.DataFrame]],
@@ -176,17 +197,7 @@ def collect_partials(
     cached, for that frame).
     """
     if df._jdf.queryExecution().analyzed().stats().sizeInBytes() > LOCAL_PASS_BYTES:
-        # mapInPandas looks every column up by name, reading ``x.1`` as a
-        # struct field: the tasks get positional names, the kernel the real ones
-        names = df.columns
-
-        def named(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-            for pdf in batches:
-                pdf.columns = names
-                yield pdf
-
-        positional = df.toDF(*(f"_{i}" for i in range(len(names))))
-        return positional.mapInPandas(lambda batches: fn(named(batches)), schema=schema).collect()
+        return _map_in_pandas(df, fn, schema).collect()
     pdf = df.toPandas()
     return [r for out in fn(iter([pdf] if len(pdf) else [])) for r in out.to_dict("records")]
 

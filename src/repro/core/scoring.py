@@ -55,7 +55,7 @@ from repro.core.constraints import (
     SimpleConstraint,
     branch_value,
 )
-from repro.core.gram import collect_partials, select_columns
+from repro.core.gram import _map_in_pandas, collect_partials, select_columns
 
 
 @dataclass(frozen=True)
@@ -273,7 +273,7 @@ def score(df: DataFrame, c: Constraint, col_name: str = "violation") -> DataFram
     The numpy kernel scores Arrow batches inside ``mapInPandas``.  (The
     Catalyst twin ``violation_col`` of a realistic compound constraint, with
     hundreds of atoms, blows the JVM's 64 KB method limit and falls back to
-    interpreted evaluation.)
+    interpreted evaluation.)  A column named ``x.1`` keeps its name.
     """
     table = compile_constraint(c)
     out_schema = StructType(df.schema.fields + [StructField(col_name, DoubleType())])
@@ -284,7 +284,7 @@ def score(df: DataFrame, c: Constraint, col_name: str = "violation") -> DataFram
             pdf[col_name] = table.violation(pdf)
             yield pdf
 
-    return df.mapInPandas(fn, schema=out_schema)
+    return _map_in_pandas(df, fn, out_schema)
 
 
 def mean_over_rows(

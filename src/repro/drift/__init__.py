@@ -12,8 +12,9 @@ reference and the new window, via max KL divergence (CD-MKL) or
 intersection area (CD-Area).
 
 W-PCA, the weighted-PCA global baseline of Figure 5b, is exactly DISYNTH's
-*simple* (global, non-disjunctive) constraint: ``core.discover_simple``
-scored with ``core.average_violation``.
+*simple* (global, non-disjunctive) constraint: the global part of the same
+``core.discover`` call (``disynth.parts[0]``), scored with
+``core.average_violation``.
 """
 from repro.drift.cd import CDModel, fit_cd
 from repro.drift.pca_spll import SPLLModel, fit_pca_spll

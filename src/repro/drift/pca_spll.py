@@ -2,7 +2,7 @@
 
 Fit on a reference window: covariance PCA; keep principal components from the
 *lowest*-variance end while their cumulative explained variance stays below
-``cum_var_threshold`` (the paper's experiments use 25 %).  Score a new window
+``CUM_VAR_THRESHOLD``, the 25 % of the paper's experiments.  Score a new window
 with the semi-parametric log-likelihood in the retained subspace — here the
 single-Gaussian variant: the mean squared z-score of the retained component
 projections (zero-drift expectation is 1.0 per component; we subtract it so
@@ -24,6 +24,9 @@ from pyspark.sql import DataFrame
 from repro.core.gram import augmented_gram, finite_rows
 from repro.core.scoring import mean_over_rows
 
+#: Components are kept while their cumulative explained variance stays below this.
+CUM_VAR_THRESHOLD = 0.25
+
 
 @dataclass(frozen=True)
 class SPLLModel:
@@ -38,9 +41,7 @@ class SPLLModel:
         return len(self.components)
 
 
-def fit_pca_spll(
-    df: DataFrame, cols: Sequence[str], cum_var_threshold: float = 0.25
-) -> SPLLModel:
+def fit_pca_spll(df: DataFrame, cols: Sequence[str]) -> SPLLModel:
     cols = list(cols)
     gram = augmented_gram(df, cols)
     eigvals, eigvecs = np.linalg.eigh(gram.cov())  # ascending
@@ -50,7 +51,7 @@ def fit_pca_spll(
     cum = 0.0
     for k in range(len(eigvals)):
         cum += eigvals[k] / total if total > 0 else 1.0
-        if cum >= cum_var_threshold:
+        if cum >= CUM_VAR_THRESHOLD:
             break
         keep.append(k)
     comps = eigvecs[:, keep].T  # (0, m) when nothing is retained

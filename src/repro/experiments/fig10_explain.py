@@ -89,7 +89,7 @@ def hashs(name: str) -> int:
     return zlib.crc32(name.encode()) % 1000
 
 
-def run(spark: SparkSession, **kw) -> dict[str, pd.DataFrame]:
+def run(spark: SparkSession) -> dict[str, pd.DataFrame]:
     return {
         "case_studies": run_case_studies(spark),
         "led": run_led(spark),

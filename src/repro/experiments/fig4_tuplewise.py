@@ -12,12 +12,11 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 from pyspark.sql import SparkSession
-from pyspark.sql import functions as Fn
 
 from repro.core.discovery import discover
 from repro.core.scoring import score
 from repro.datasets.airlines import FEATURE_COLS, TARGET, splits_pdf
-from repro.ml.linreg import absolute_error_col, fit_ols
+from repro.ml.linreg import fit_ols
 
 
 def run(
@@ -35,13 +34,13 @@ def run(
     constraint = discover(train, cols=FEATURE_COLS)
     model = fit_ols(train, FEATURE_COLS, TARGET)
 
-    scored = (
-        score(mixed, constraint)
-        .select(
-            Fn.col("violation"),
-            absolute_error_col(model, TARGET).alias("abs_error"),
-        )
-        .toPandas()
+    tuples = score(mixed, constraint).toPandas()
+    x = tuples[list(model.feature_cols)].to_numpy(dtype=np.float64)
+    scored = pd.DataFrame(
+        {
+            "violation": tuples["violation"],
+            "abs_error": np.abs(tuples[TARGET] - model.predict_numpy(x)),
+        }
     )
     scored = scored.sort_values("violation", ascending=False).reset_index(drop=True)
 

@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import pandas as pd
 from pyspark.sql import SparkSession
-from pyspark.sql import functions as Fn
 
 from repro.core.discovery import discover
-from repro.core.scoring import score
-from repro.datasets.har import PERSON_META, PERSONS, SENSOR_COLS, har_pdf
+from repro.datasets.har import ACTIVITIES, PERSON_META, PERSONS, SENSOR_COLS, har_pdf
+from repro.experiments import mean_violation_by
 
 
 def run(spark: SparkSession, n_per_cell: int = 150, seed: int = 0) -> pd.DataFrame:
@@ -26,6 +25,7 @@ def run(spark: SparkSession, n_per_cell: int = 150, seed: int = 0) -> pd.DataFra
     heldout = spark.createDataFrame(
         har_pdf(n_per_cell, seed=seed + 1)
     ).cache()
+    cells = pd.MultiIndex.from_product([PERSONS, ACTIVITIES], names=["person", "activity"])
 
     matrix = pd.DataFrame(0.0, index=PERSONS, columns=PERSONS)
     for p in PERSONS:
@@ -36,16 +36,8 @@ def run(spark: SparkSession, n_per_cell: int = 150, seed: int = 0) -> pd.DataFra
             include_global=False,
         )
         # activity-wise violation, then average over activities, per person q
-        scores = (
-            score(heldout, constraint, col_name="_v")
-            .groupBy("person", "activity")
-            .agg(Fn.avg("_v").alias("v"))
-            .groupBy("person")
-            .agg(Fn.avg("v").alias("v"))
-            .collect()
-        )
-        for row in scores:
-            matrix.loc[p, row["person"]] = row["v"]
+        cell_means = mean_violation_by(heldout, constraint, cells)
+        matrix.loc[p] = cell_means.reshape(len(PERSONS), len(ACTIVITIES)).mean(axis=1)
     heldout.unpersist()
 
     out = matrix.round(4)

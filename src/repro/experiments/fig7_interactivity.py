@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import pandas as pd
 from pyspark.sql import SparkSession
-from pyspark.sql import functions as Fn
 
 from repro.core.discovery import discover
-from repro.core.scoring import score
 from repro.datasets.har import ACTIVITIES, SENSOR_COLS, har_pdf
+from repro.experiments import mean_violation_by
 
 #: the paper's Figure 7 matrix, for side-by-side reporting
 PAPER = pd.DataFrame(
@@ -33,19 +32,13 @@ PAPER = pd.DataFrame(
 
 def run(spark: SparkSession, n_per_cell: int = 150, seed: int = 0) -> pd.DataFrame:
     heldout = spark.createDataFrame(har_pdf(n_per_cell, seed=seed + 1)).cache()
+    activities = pd.MultiIndex.from_product([ACTIVITIES], names=["activity"])
     matrix = pd.DataFrame(0.0, index=ACTIVITIES, columns=ACTIVITIES)
     for a in ACTIVITIES:
         train = spark.createDataFrame(har_pdf(n_per_cell, activities=[a], seed=seed))
         constraint = discover(
             train, cols=SENSOR_COLS, partition_attrs=["person"], include_global=False
         )
-        scores = (
-            score(heldout, constraint, col_name="_v")
-            .groupBy("activity")
-            .agg(Fn.avg("_v").alias("v"))
-            .collect()
-        )
-        for row in scores:
-            matrix.loc[a, row["activity"]] = row["v"]
+        matrix.loc[a] = mean_violation_by(heldout, constraint, activities)
     heldout.unpersist()
     return matrix.round(4).reset_index(names="learned_on")

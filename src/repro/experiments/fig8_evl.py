@@ -53,7 +53,7 @@ def run_dataset(
 
     disynth = discover(dfs[0], cols=num_cols, partition_attrs=["label"])
     spll = fit_pca_spll(dfs[0], num_cols)
-    cd = fit_cd(dfs[0], num_cols, k=min(2, len(num_cols)))
+    cd = fit_cd(dfs[0], num_cols)
 
     curves: dict[str, list[float]] = {m: [] for m in METHODS}
     for df in dfs:

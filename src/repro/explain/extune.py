@@ -131,7 +131,6 @@ def responsibilities(
     df: DataFrame,
     constraint: Constraint,
     cols: Sequence[str],
-    eps: float = _EPS,
     max_steps: int = 8,
 ) -> pd.Series:
     """Average per-attribute responsibility over the tuples of ``df``.
@@ -142,6 +141,6 @@ def responsibilities(
     table = compile_constraint(constraint, cols)
     if table.means is None:
         raise ValueError("cannot derive intervention targets: constraint records no col_means")
-    per_row = partial(_batch_responsibilities, table, eps=eps, max_steps=max_steps)
+    per_row = partial(_batch_responsibilities, table, eps=_EPS, max_steps=max_steps)
     mean = mean_over_rows(df, table.columns, per_row, len(table.cols))
     return pd.Series(mean, index=list(table.cols), name="responsibility")

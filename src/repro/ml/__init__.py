@@ -7,6 +7,6 @@ regressor of Figures 3 and 4).
 ``classify`` — multinomial logistic regression via ``pyspark.ml`` (the HAR
 person-identification classifier of Figure 5a).
 """
-from repro.ml.linreg import LinearModel, fit_ols, mae, predict_col
+from repro.ml.linreg import LinearModel, fit_ols, mae
 
-__all__ = ["LinearModel", "fit_ols", "predict_col", "mae"]
+__all__ = ["LinearModel", "fit_ols", "mae"]

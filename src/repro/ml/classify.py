@@ -15,6 +15,9 @@ from pyspark.ml.feature import StringIndexer, VectorAssembler
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as Fn
 
+#: L2 regularization of the logistic regression.
+REG_PARAM = 1e-3
+
 
 @dataclass(frozen=True)
 class Classifier:
@@ -29,7 +32,6 @@ def fit_logreg(
     feature_cols: Sequence[str],
     label_col: str,
     max_iter: int = 50,
-    reg_param: float = 1e-3,
 ) -> Classifier:
     """Fit multinomial logistic regression on ``[df[feature_cols]; df[label_col]]``."""
     pipeline = Pipeline(
@@ -40,7 +42,7 @@ def fit_logreg(
                 featuresCol="_features",
                 labelCol="_label",
                 maxIter=max_iter,
-                regParam=reg_param,
+                regParam=REG_PARAM,
             ),
         ]
     )

@@ -11,19 +11,17 @@ the raw normal equations' ridge with an unpenalized intercept.
 on the driver or the executors as ``gram.collect_partials`` decides.  It
 leaves out rows with a null, NaN or ±inf feature or target (``finite_rows``,
 the Gram pass's rule): Catalyst's ``avg`` skipped nulls but returned NaN
-for a NaN.  ``predict_col`` and ``absolute_error_col`` are the prediction
-and the absolute error as Catalyst columns, for per-tuple output.
+for a NaN.  ``LinearModel.predict_numpy`` is the one prediction: per-tuple
+output (Figure 4) collects the rows and calls it too.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 from typing import Sequence
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import Column, DataFrame
-from pyspark.sql import functions as Fn
+from pyspark.sql import DataFrame
 
 from repro.core.gram import augmented_gram, finite_rows
 from repro.core.scoring import mean_over_rows
@@ -65,18 +63,6 @@ def fit_ols(
     )
 
 
-def predict_col(model: LinearModel) -> Column:
-    """The model's prediction as a Catalyst column expression."""
-    terms = [Fn.lit(model.intercept)] + [
-        Fn.col(c) * Fn.lit(w) for c, w in zip(model.feature_cols, model.coefs)
-    ]
-    return reduce(lambda a, x: a + x, terms)
-
-
-def with_prediction(df: DataFrame, model: LinearModel, col_name: str = "prediction") -> DataFrame:
-    return df.withColumn(col_name, predict_col(model))
-
-
 def mae(df: DataFrame, model: LinearModel, target: str) -> float:
     """Mean absolute error of the model over the rows of ``df`` whose
     features and target are all finite (one pass); 0 if there are none."""
@@ -87,7 +73,3 @@ def mae(df: DataFrame, model: LinearModel, target: str) -> float:
         return np.abs(xy[:, -1] - model.predict_numpy(xy[:, :-1]))
 
     return float(mean_over_rows(df, cols, abs_error)[0])
-
-
-def absolute_error_col(model: LinearModel, target: str) -> Column:
-    return Fn.abs(Fn.col(target) - predict_col(model))

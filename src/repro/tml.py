@@ -21,12 +21,10 @@ from repro.core.constraints import Constraint, SimpleConstraint
 from repro.core.scoring import score
 
 
-def flag_non_conforming(
-    df: DataFrame, constraint: Constraint, threshold: float = 0.0, col_name: str = "non_conforming"
-) -> DataFrame:
-    """``df`` plus a boolean column: violation score > ``threshold``."""
-    scored = score(df, constraint, col_name)
-    return scored.withColumn(col_name, Fn.col(col_name) > Fn.lit(threshold))
+def flag_non_conforming(df: DataFrame, constraint: Constraint, threshold: float = 0.0) -> DataFrame:
+    """``df`` plus a boolean column ``non_conforming``: violation score > ``threshold``."""
+    scored = score(df, constraint, "non_conforming")
+    return scored.withColumn("non_conforming", Fn.col("non_conforming") > Fn.lit(threshold))
 
 
 def equality_check_non_conforming(

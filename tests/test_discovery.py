@@ -15,7 +15,7 @@ from repro.core.constraints import (
     constraint_to_dict,
 )
 from repro.core.discovery import (
-    DEFAULT_C,
+    C,
     discover,
     discover_disjunctive,
     discover_simple,
@@ -45,8 +45,8 @@ def test_simple_constraint_shape(spark):
     assert c.cols == ("a", "b", "c")
     assert sum(b.gamma for b in c.conjuncts) == pytest.approx(1.0)
     for b in c.conjuncts:
-        assert b.lb == pytest.approx(b.mean - DEFAULT_C * b.std)
-        assert b.ub == pytest.approx(b.mean + DEFAULT_C * b.std)
+        assert b.lb == pytest.approx(b.mean - C * b.std)
+        assert b.ub == pytest.approx(b.mean + C * b.std)
 
 
 def test_training_data_mostly_conforms(spark):
@@ -141,15 +141,6 @@ def test_discover_explicit_numeric_partition_attr(spark):
     c = discover(df, cols=["a", "b", "c"], partition_attrs=["digit"], include_global=False)
     (disj,) = c.parts
     assert set(disj.branches) == {"0", "1", "2", "3"}
-
-
-def test_min_partition_rows_gives_trivial_branch(spark):
-    pdf = piecewise_pdf(n_per=100, seed=11)
-    tiny = pd.DataFrame({"grp": ["rare"], "x": [1.0], "y": [1.0]})
-    df = spark.createDataFrame(pd.concat([pdf, tiny], ignore_index=True))
-    c = discover_disjunctive(df, "grp", ["x", "y"], min_partition_rows=5)
-    assert c.branches["rare"].conjuncts == ()
-    assert violation_numpy(c.branches["rare"], tiny)[0] == 0.0
 
 
 def _thin_branch_pdf(n: int, m: int = 12, seed: int = 21) -> pd.DataFrame:

@@ -3,10 +3,15 @@ the *shape* the paper reports (which method wins, direction of effects,
 where crossovers fall) rather than absolute numbers."""
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pandas as pd
 import pytest
 
+from repro.core import gram
+from repro.core.discovery import discover
+from repro.core.scoring import violation_numpy
 from repro.experiments import (
     fig3_airlines,
     fig4_tuplewise,
@@ -16,7 +21,9 @@ from repro.experiments import (
     fig7_interactivity,
     fig8_evl,
     fig10_explain,
+    mean_violation_by,
 )
+from tests.helpers import piecewise_pdf
 
 
 @pytest.fixture(scope="module")
@@ -68,6 +75,21 @@ def test_fig5b_disynth_rises_wpca_flat(spark):
     # W-PCA sees no strong global drift: stays near zero throughout
     assert out["wpca_violation"].max() < 0.1
     assert out["disynth_violation"].iloc[-1] > 5 * out["wpca_violation"].iloc[-1]
+
+
+@pytest.mark.parametrize("runner", ["driver", "executors"])
+def test_mean_violation_by_is_each_groups_mean(spark, monkeypatch, runner):
+    """The one-pass group means of Figs 6 and 7 equal pandas' group means of
+    the kernel's violations, in the order of ``groups``, on either runner."""
+    monkeypatch.setattr(gram, "LOCAL_PASS_BYTES", math.inf if runner == "driver" else -1)
+    c = discover(spark.createDataFrame(piecewise_pdf(n_per=100, seed=3)))
+    test = piecewise_pdf(n_per=100, seed=4).assign(half=np.arange(300) % 2)
+    test["x"] += test["half"]  # one half of each group drifts
+    groups = pd.MultiIndex.from_product([["g2", "g0", "g1"], [1, 0]], names=["grp", "half"])
+    got = mean_violation_by(spark.createDataFrame(test), c, groups)
+    by_group = test.assign(v=violation_numpy(c, test)).groupby(["grp", "half"])["v"].mean()
+    np.testing.assert_allclose(got, by_group.reindex(groups), rtol=1e-12)
+    assert got[1::2].max() < 0.05 < got[::2].min()
 
 
 @pytest.fixture(scope="module")

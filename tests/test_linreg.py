@@ -6,7 +6,7 @@ import pandas as pd
 import pytest
 from pyspark.sql import functions as Fn
 
-from repro.ml.linreg import absolute_error_col, fit_ols, mae, predict_col, with_prediction
+from repro.ml.linreg import fit_ols, mae
 from repro.oracle import assert_equivalent
 from tests.helpers import linear_pdf, on_executors
 
@@ -26,15 +26,6 @@ def test_ols_recovers_planted_coefficients(spark):
     model = fit_ols(spark.createDataFrame(pdf), ["a", "b"], "c")
     np.testing.assert_allclose(model.coefs, [2.5, -0.5], atol=0.01)
     assert model.intercept == pytest.approx(0.0, abs=0.05)
-
-
-def test_prediction_expression_matches_numpy(spark):
-    pdf = linear_pdf(n=200, seed=4)
-    df = spark.createDataFrame(pdf)
-    model = fit_ols(df, ["a", "b"], "c")
-    got = with_prediction(df, model).toPandas()
-    ref = model.predict_numpy(got[["a", "b"]].to_numpy())
-    np.testing.assert_allclose(got["prediction"], ref, rtol=1e-9)
 
 
 def test_mae_against_duckdb_oracle(spark):
@@ -65,15 +56,6 @@ def test_ridge_handles_collinear_features(spark):
     assert err.mean() < 0.2
 
 
-def test_absolute_error_col(spark):
-    pdf = linear_pdf(n=100, seed=7)
-    df = spark.createDataFrame(pdf)
-    model = fit_ols(df, ["a", "b"], "c")
-    got = df.select(absolute_error_col(model, "c").alias("e")).toPandas()["e"]
-    assert (got >= 0).all()
-    assert got.mean() == pytest.approx(mae(df, model, "c"), rel=1e-9)
-
-
 def test_mae_leaves_out_rows_with_a_missing_or_infinite_value(spark):
     """A row with a null or NaN feature, or an infinite target, is left out:
     MAE equals Catalyst's ``avg`` of the absolute error over the finite
@@ -85,13 +67,15 @@ def test_mae_leaves_out_rows_with_a_missing_or_infinite_value(spark):
         "(1.0D, CAST('NaN' AS DOUBLE), 2.0D), (1.0D, 2.0D, double('-Infinity')) AS t(a, b, c)"
     )
     assert bad.where(Fn.isnan("b")).count() == 1 and bad.where(Fn.isnull("a")).count() == 1
-    want = df.select(Fn.avg(Fn.abs(Fn.col("c") - predict_col(model)))).first()[0]
+    prediction = Fn.lit(model.intercept)
+    for c, w in zip(model.feature_cols, model.coefs):
+        prediction += Fn.col(c) * w
+    want = df.select(Fn.avg(Fn.abs(Fn.col("c") - prediction))).first()[0]
     assert mae(df.union(bad), model, "c") == pytest.approx(want, rel=1e-12)
     assert mae(bad, model, "c") == 0.0
 
 
 TestOnExecutors = on_executors(
     test_mae_against_duckdb_oracle,
-    test_absolute_error_col,
     test_mae_leaves_out_rows_with_a_missing_or_infinite_value,
 )

@@ -29,6 +29,7 @@ from repro.core.scoring import (
 )
 from repro.explain.extune import responsibilities
 from repro.oracle import assert_equivalent
+from repro.tml import flag_non_conforming
 from tests.helpers import (
     catalyst_average,
     catalyst_score,
@@ -278,9 +279,8 @@ def test_atom_table_met_stacks_blocks_and_picks_targets():
 def test_engines_agree_on_quoted_names_and_keys(spark):
     """A feature column whose name holds a space, a backtick and a double
     quote, and branch keys holding a quote and a backslash: the numpy kernel,
-    the Catalyst column and DuckDB's SQL text give the same scores.  (Spark's
-    ``mapInPandas`` itself rejects a column name with a backtick, so the
-    kernel runs on the pandas frame here.)"""
+    on the pandas frame and inside ``score``, the Catalyst column and
+    DuckDB's SQL text give the same scores."""
     name = 'we ird`c"'
     atom = BoundedProjection((name, "b"), (0.6, 0.8), 0.0, 1.0, -4.0, 4.0, 1.0)
     c = DisjunctiveConstraint(
@@ -298,10 +298,32 @@ def test_engines_agree_on_quoted_names_and_keys(spark):
     want = violation_numpy(c, pdf)
     assert (want[pdf["k"].isin(["a\\\\b", "ohare"])] == 1.0).all()
     assert want[pdf["k"] == "O'Hare"].min() == 0.0 and want[pdf["k"] == "a\\b"].min() < 0.5
-    catalyst = catalyst_score(spark.createDataFrame(pdf), c).select("i", "violation")
+    df = spark.createDataFrame(pdf)
+    kernel = score(df, c).toPandas().sort_values("i")["violation"]
+    np.testing.assert_allclose(kernel, want, rtol=1e-12)
+    catalyst = catalyst_score(df, c).select("i", "violation")
     got = catalyst.toPandas().sort_values("i")["violation"]
     np.testing.assert_allclose(got, want, rtol=1e-12)
     assert_equivalent(catalyst, f"SELECT i, {violation_sql(c)} AS violation FROM d", d=pdf)
+
+
+def test_score_and_flag_keep_a_dotted_column_name(spark):
+    """``score`` and ``flag_non_conforming`` read a column named ``x.1`` as
+    that column, not as field ``1`` of a struct ``x``, and return it under
+    its own name, next to the violation the numpy kernel gives."""
+    pdf = linear_pdf(n=300, seed=18).rename(columns={"a": "x.1"})
+    c = discover(spark.createDataFrame(pdf))
+    shifted = pdf.assign(**{"x.1": pdf["x.1"] + np.arange(300) % 3})
+    want = violation_numpy(c, shifted)
+    assert 0 < (want > 0).sum() < len(want)
+    df = spark.createDataFrame(shifted)
+    scored = score(df, c).toPandas()
+    assert list(scored.columns) == ["x.1", "b", "c", "violation"]
+    np.testing.assert_array_equal(scored["x.1"], shifted["x.1"])
+    np.testing.assert_allclose(scored["violation"], want, rtol=1e-12)
+    flagged = flag_non_conforming(df, c).toPandas()
+    assert list(flagged.columns) == ["x.1", "b", "c", "non_conforming"]
+    np.testing.assert_array_equal(flagged["non_conforming"], want > 0)
 
 
 def test_engines_agree_on_null_and_nan_features(spark):
